@@ -4,7 +4,10 @@
 // captures here, and uploads the rendered delta as an artifact. A
 // benchmark is judged on its ns/op; rows present in only one capture
 // are reported but never fail the build (new benchmarks land with
-// their first numbers, retired ones drop out).
+// their first numbers, retired ones drop out). Captures taken with
+// -benchmem also get their allocs/op compared: a row whose allocation
+// count grew is marked, without failing the build, since a pool refill
+// after a GC can add one to an otherwise steady count.
 //
 // Usage:
 //
@@ -32,17 +35,28 @@ import (
 //	BenchmarkDecode/dict/512-8   300  2291 ns/op  894.02 MB/s  0 B/op  0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
+// allocsField matches the -benchmem allocation count of a result row.
+var allocsField = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+
 // parseBench extracts name -> ns/op from a bench capture. Repeated
 // rows (from -count) keep the minimum: on shared CI runners the
 // fastest of N runs is the least noise-contaminated estimate, so
 // min-vs-min comparisons flap far less than single samples or means.
 func parseBench(path string) (map[string]float64, error) {
+	ns, _, err := parseCapture(path)
+	return ns, err
+}
+
+// parseCapture extracts name -> ns/op and, for rows that carry one,
+// name -> allocs/op, keeping the minimum of repeated rows for both.
+func parseCapture(path string) (nsOp, allocsOp map[string]float64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	out := make(map[string]float64)
+	allocs := make(map[string]float64)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -57,11 +71,17 @@ func parseBench(path string) (map[string]float64, error) {
 		if cur, ok := out[m[1]]; !ok || ns < cur {
 			out[m[1]] = ns
 		}
+		if a := allocsField.FindStringSubmatch(sc.Text()); a != nil {
+			n, _ := strconv.ParseFloat(a[1], 64)
+			if cur, ok := allocs[m[1]]; !ok || n < cur {
+				allocs[m[1]] = n
+			}
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, allocs, nil
 }
 
 func main() {
@@ -80,12 +100,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: benchdiff [-max-regress PCT] [-min-ns NS] base.txt head.txt")
 		return 2
 	}
-	base, err := parseBench(fs.Arg(0))
+	base, baseAllocs, err := parseCapture(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-	head, err := parseBench(fs.Arg(1))
+	head, headAllocs, err := parseCapture(fs.Arg(1))
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
@@ -120,6 +140,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if delta > *maxRegress && (b >= *minNS || h >= *minNS) {
 				mark = "  << REGRESSION"
 				failed = true
+			}
+			ba, okb := baseAllocs[n]
+			ha, okh := headAllocs[n]
+			if okb && okh && ha > ba {
+				mark += fmt.Sprintf("  << ALLOCS %.0f -> %.0f", ba, ha)
 			}
 			fmt.Fprintf(stdout, "%-55s %14.1f %14.1f %+8.1f%%%s\n", n, b, h, delta, mark)
 		}

@@ -84,3 +84,21 @@ func TestExitCodes(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocGrowthMarked: with -benchmem captures, a row whose allocs/op
+// grew is marked, but only ns/op decides the exit status.
+func TestAllocGrowthMarked(t *testing.T) {
+	base := writeCapture(t, "base.txt", "BenchmarkX-8  100  5000 ns/op  0 B/op  2 allocs/op\nBenchmarkX-8  100  5000 ns/op  0 B/op  3 allocs/op\n")
+	head := writeCapture(t, "head.txt", "BenchmarkX-8  100  5000 ns/op  64 B/op  4 allocs/op\n")
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{base, head}, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d, want 0 (allocs alone never fail)\n%s", got, &stdout)
+	}
+	if !strings.Contains(stdout.String(), "<< ALLOCS 2 -> 4") {
+		t.Errorf("alloc growth not marked against the base minimum:\n%s", &stdout)
+	}
+	stdout.Reset()
+	if got := run([]string{head, base}, &stdout, &stderr); got != 0 || strings.Contains(stdout.String(), "ALLOCS") {
+		t.Errorf("alloc drop marked or failed (exit %d):\n%s", got, &stdout)
+	}
+}

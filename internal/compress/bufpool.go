@@ -27,6 +27,12 @@ import (
 //   - Contents are not zeroed: GetBuf returns a zero-length slice, so
 //     stale bytes are only visible to callers that reslice past len —
 //     don't.
+//
+// Ownership moves with the slice, never with the box: a *[]byte that
+// carried a buffer through a class pool is emptied and recycled through
+// boxPool the moment GetBuf unwraps it, so no box is ever shared
+// between a caller and the pool, and a GetBuf/PutBuf round trip
+// allocates nothing.
 
 const (
 	// minBufClass is the smallest pooled capacity (1<<9 = 512 B), on the
@@ -38,9 +44,14 @@ const (
 )
 
 // bufPools[i] holds *[]byte with capacity exactly 1<<(minBufClass+i).
-// Pointers to slice headers are pooled (not headers by value) so Put
-// does not allocate.
+// A slice header stored in an interface escapes to the heap, so the
+// pools hold pointers to headers ("boxes"), and the boxes themselves
+// are recycled through boxPool: GetBuf empties the box it unwrapped and
+// parks it there, PutBuf takes one back to carry the returned slice.
 var bufPools [maxBufClass - minBufClass + 1]sync.Pool
+
+// boxPool holds empty *[]byte boxes for PutBuf to wrap slices in.
+var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func init() {
 	for i := range bufPools {
@@ -74,7 +85,11 @@ func GetBuf(n int) []byte {
 	if c < 0 {
 		return make([]byte, 0, n)
 	}
-	return (*bufPools[c].Get().(*[]byte))[:0]
+	box := bufPools[c].Get().(*[]byte)
+	b := (*box)[:0]
+	*box = nil // the box must not pin the buffer it no longer owns
+	boxPool.Put(box)
+	return b
 }
 
 // growCap returns b with at least n free bytes of capacity past
@@ -125,6 +140,7 @@ func PutBuf(b []byte) {
 	if c < 0 || cap(b) != 1<<(minBufClass+c) {
 		return
 	}
-	b = b[:0]
-	bufPools[c].Put(&b)
+	box := boxPool.Get().(*[]byte)
+	*box = b[:0]
+	bufPools[c].Put(box)
 }

@@ -77,3 +77,21 @@ func TestClampGrow(t *testing.T) {
 		t.Errorf("clampGrow(5,-1) = %d", got)
 	}
 }
+
+// TestBufPoolRoundTripAllocFree pins the pool's reason to exist: a
+// GetBuf/PutBuf round trip, growth within the class included, allocates
+// nothing once the pool is warm.
+func TestBufPoolRoundTripAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops pooled items at random")
+	}
+	roundTrip := func() {
+		b := GetBuf(1000)
+		b = append(b, make([]byte, 900)...)
+		PutBuf(b)
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Errorf("GetBuf/PutBuf round trip allocates %v/op, want 0", allocs)
+	}
+}

@@ -1,0 +1,8 @@
+//go:build race
+
+package compress
+
+// raceEnabled reports a -race build. Its sync.Pool drops a quarter of
+// all Puts on purpose, so allocation pins over pooled paths cannot hold
+// there.
+const raceEnabled = true

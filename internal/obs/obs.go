@@ -56,6 +56,12 @@ const maxSpans = 64
 // direct children — the time attributable to this stage alone, which
 // is what the per-stage histograms observe (so nested stages never
 // double-count).
+//
+// Root-level spans tile the trace: the first starts with the trace and
+// each later one where the previous one ended. The handler time between
+// two stages (call overhead, and any time the goroutine spends
+// descheduled there) is thereby charged to the stage it leads into
+// rather than left unattributed.
 type Span struct {
 	Stage   string `json:"stage"`
 	Outcome string `json:"outcome"`
@@ -82,7 +88,8 @@ type Trace struct {
 
 	start     time.Time
 	spans     []Span
-	cur       int // index of the innermost open span, -1 at root
+	cur       int   // index of the innermost open span, -1 at root
+	rootEnd   int64 // where the latest root-level span ended, in ns
 	truncated bool
 }
 
@@ -102,6 +109,7 @@ func (t *Trace) reset(id uint64) {
 	t.start = time.Now()
 	t.spans = t.spans[:0]
 	t.cur = -1
+	t.rootEnd = 0
 	t.truncated = false
 }
 
@@ -121,8 +129,9 @@ type SpanHandle struct {
 	idx int32
 }
 
-// Begin opens a span as a child of the innermost open span. On a nil
-// trace it returns a no-op handle without reading the clock.
+// Begin opens a span as a child of the innermost open span, or at root
+// level where the previous root span ended. On a nil trace it returns a
+// no-op handle without reading the clock.
 func (t *Trace) Begin(stage string) SpanHandle {
 	if t == nil {
 		return SpanHandle{}
@@ -131,12 +140,16 @@ func (t *Trace) Begin(stage string) SpanHandle {
 		t.truncated = true
 		return SpanHandle{}
 	}
+	start := t.rootEnd
+	if t.cur >= 0 {
+		start = int64(time.Since(t.start))
+	}
 	idx := len(t.spans)
 	t.spans = append(t.spans, Span{
 		Stage:   stage,
 		Outcome: OutcomeOK,
 		Parent:  t.cur,
-		StartNS: int64(time.Since(t.start)),
+		StartNS: start,
 	})
 	t.cur = idx
 	return SpanHandle{t: t, idx: int32(idx)}
@@ -149,13 +162,23 @@ func (h SpanHandle) End(outcome string) {
 	if h.t == nil {
 		return
 	}
+	h.endAt(int64(time.Since(h.t.start)), outcome)
+}
+
+// endAt closes the span at now (ns on the trace clock).
+func (h SpanHandle) endAt(now int64, outcome string) {
+	if h.t == nil {
+		return
+	}
 	sp := &h.t.spans[h.idx]
-	sp.DurNS = int64(time.Since(h.t.start)) - sp.StartNS
+	sp.DurNS = now - sp.StartNS
 	sp.ExclNS = sp.DurNS - sp.childNS
 	sp.Outcome = outcome
 	h.t.cur = sp.Parent
 	if sp.Parent >= 0 {
 		h.t.spans[sp.Parent].childNS += sp.DurNS
+	} else {
+		h.t.rootEnd = sp.StartNS + sp.DurNS
 	}
 }
 
@@ -181,6 +204,20 @@ func (t *Trace) Finish(outcome string) {
 	}
 	t.Outcome = outcome
 	t.TotalNS = int64(time.Since(t.start))
+}
+
+// FinishWith ends h, the request's last open span, and finishes the
+// trace at the same clock reading. The total then ends exactly where
+// the last stage does: no instant between the two, in which the
+// goroutine might be descheduled, goes unattributed.
+func (t *Trace) FinishWith(h SpanHandle, spanOutcome, outcome string) {
+	if t == nil {
+		return
+	}
+	now := int64(time.Since(t.start))
+	h.endAt(now, spanOutcome)
+	t.Outcome = outcome
+	t.TotalNS = now
 }
 
 // Spans exposes the recorded spans (read-only; valid until the trace

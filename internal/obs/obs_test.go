@@ -215,3 +215,46 @@ func TestParseLevelAndLogger(t *testing.T) {
 	}
 	Discard.Info("dropped")
 }
+
+// TestRootSpansTileTrace: root-level spans start where the previous one
+// ended (the first at the trace start), and FinishWith ends the last
+// span and the trace on one clock reading, so the exclusive times of a
+// request whose work all sits in root spans sum to its total exactly.
+func TestRootSpansTileTrace(t *testing.T) {
+	tr := NewTrace(3)
+	a := tr.Begin(StageRoute)
+	a.End(OutcomeOK)
+	time.Sleep(time.Millisecond) // handler time between stages
+	b := tr.Begin(StageL1)
+	child := tr.Begin(StageL2Read)
+	child.End(OutcomeOK)
+	b.End(OutcomeMiss)
+	c := tr.Begin(StageWrite)
+	tr.FinishWith(c, OutcomeOK, OutcomeMiss)
+
+	spans := tr.Spans()
+	if spans[0].StartNS != 0 {
+		t.Errorf("first root span starts at %d, want 0", spans[0].StartNS)
+	}
+	var excl int64
+	prevEnd := int64(0)
+	for _, sp := range spans {
+		excl += sp.ExclNS
+		if sp.Parent >= 0 {
+			continue
+		}
+		if sp.StartNS != prevEnd {
+			t.Errorf("root span %s starts at %d, previous root ended at %d", sp.Stage, sp.StartNS, prevEnd)
+		}
+		prevEnd = sp.StartNS + sp.DurNS
+	}
+	if spans[1].DurNS < int64(time.Millisecond) {
+		t.Errorf("l1 span %dns does not carry the gap before it", spans[1].DurNS)
+	}
+	if excl != tr.TotalNS || prevEnd != tr.TotalNS {
+		t.Errorf("sum excl = %d, last root end = %d, total = %d; want all equal", excl, prevEnd, tr.TotalNS)
+	}
+	if tr.Outcome != OutcomeMiss || spans[2].Outcome != OutcomeOK {
+		t.Errorf("outcomes: trace %q, write %q", tr.Outcome, spans[2].Outcome)
+	}
+}

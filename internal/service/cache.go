@@ -245,9 +245,10 @@ func (c *BlockCache) shard(key string) *cacheShard {
 
 // flight is one in-progress compute; waiters block on done.
 type flight struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int // requests parked on done; guarded by the shard lock
 }
 
 // cacheShard stores values and byte accounting; the bound policy owns
@@ -286,7 +287,9 @@ func (s *cacheShard) get(key string) ([]byte, bool) {
 func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func() ([]byte, int64, error)) ([]byte, bool, error) {
 	// One StageL1 span covers the whole call: lookup on a hit, lookup +
 	// compute on a miss (the compute's own spans nest under it). tr is
-	// nil when tracing is off — Begin/End are then free no-ops.
+	// nil when tracing is off — Begin/End are then free no-ops. The
+	// shard hashing before it is charged to l1 too: root spans tile the
+	// trace, so this one starts where the route span ended.
 	tr := obs.FromContext(ctx)
 	sp := tr.Begin(obs.StageL1)
 	s.mu.Lock()
@@ -298,6 +301,7 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 		return val, true, nil
 	}
 	if fl, ok := s.inflight[key]; ok {
+		fl.waiters++
 		s.mu.Unlock()
 		// A coalesced waiter must stay cancellable: the leader may be in
 		// an L2 retry loop or queued pool work, and a waiter whose client
@@ -358,6 +362,19 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 		storm(key, evicted)
 	}
 	return fl.val, false, fl.err
+}
+
+// waiters reports how many requests are parked on key's in-flight
+// compute (0 when none is in flight), so tests can release a leader
+// only once every follower has joined it.
+func (c *BlockCache) waiters(key string) int {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if fl, ok := sh.inflight[key]; ok {
+		return fl.waiters
+	}
+	return 0
 }
 
 // safeCompute converts a panicking compute into an error. Without

@@ -151,8 +151,10 @@ func TestCacheSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the one compute is in flight, then release it.
-	for computes.Load() == 0 {
+	// Release the one compute only once every other request is parked
+	// on it: a request arriving after the release would find the value
+	// resident and count as a hit, not a coalesced wait.
+	for computes.Load() == 0 || c.waiters("k") < waiters-1 {
 		runtime.Gosched()
 	}
 	close(release)

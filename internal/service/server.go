@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +12,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -50,6 +53,51 @@ const (
 	HeaderTrace  = "X-Apcc-Trace"
 	HeaderStages = "X-Apcc-Stages"
 )
+
+// Shared header values for the serving hot path. Assigning one of
+// these straight into a response's header map costs nothing, where
+// Header.Set allocates a fresh one-element slice per call. The slices
+// are shared by every response, so they are immutable: replace a
+// key's value, never append to it or write into it in place. Each is
+// len == cap == 1, so even an append by a wrapping handler reallocates
+// instead of writing into the shared array.
+var (
+	hdrOctetStream  = []string{"application/octet-stream"}
+	hdrCacheHit     = []string{obs.OutcomeHit}
+	hdrCacheMiss    = []string{obs.OutcomeMiss}
+	hdrCacheBypass  = []string{"bypass"}
+	hdrSourceStore  = []string{"store"}
+	hdrSourceMemory = []string{"memory"}
+)
+
+// decimalHdrs holds the decimal header values of 0..len-1, which cover
+// the word counts and word indices of every block in the suite. Values
+// past the table are formatted per response.
+var decimalHdrs = func() []string {
+	out := make([]string, 1<<10)
+	for i := range out {
+		out[i] = strconv.Itoa(i)
+	}
+	return out
+}()
+
+// decimalHdr returns the header value for n, shared when n is in the
+// table.
+func decimalHdr(n int) []string {
+	if n >= 0 && n < len(decimalHdrs) {
+		return decimalHdrs[n : n+1 : n+1]
+	}
+	return []string{strconv.Itoa(n)}
+}
+
+// hexCRC renders a CRC-32 as the 8 lowercase hex digits of X-Apcc-Crc32.
+func hexCRC(crc uint32) [8]byte {
+	var be [4]byte
+	var out [8]byte
+	binary.BigEndian.PutUint32(be[:], crc)
+	hex.Encode(out[:], be[:])
+	return out
+}
 
 // maxAsmBody bounds POST /v1/pack request bodies.
 const maxAsmBody = 1 << 20
@@ -234,7 +282,7 @@ type Server struct {
 	draining  atomic.Bool   // BeginDrain was called; /healthz reports 503
 
 	mu      sync.Mutex
-	entries map[string]*entry
+	entries map[entryKey]*entry
 	closing bool // no new persists may start once set
 
 	// unp re-verifies containers through pack's streaming Unpacker:
@@ -253,6 +301,11 @@ type Server struct {
 	workloadsErr   error
 }
 
+// entryKey names an entry. A struct key lets the per-request lookup
+// hash the path and query strings as they are, without building a
+// joined name.
+type entryKey struct{ workload, codec string }
+
 // entry is one built (workload, codec) container, ready to serve. It is
 // constructed once per key: later requesters wait on ready.
 type entry struct {
@@ -265,6 +318,11 @@ type entry struct {
 	crcs      []uint32   // per-block IEEE CRC-32 of plain
 	keys      []string   // per-block content addresses, precomputed
 	hist      *Histogram // latency histogram for this entry's codec
+	// codecHdr and crcHdrs are the entry's precomputed, shared response
+	// header values: the codec name, and per block its CRC as 8 hex
+	// digits. Serve them through crcHdr, never append to them.
+	codecHdr []string
+	crcHdrs  []string
 	// readahead holds, per block, the markov-prefetch beam's successor
 	// proposals (best first) — the score table the L2 tier coalesces
 	// reads around. nil when readahead is disabled.
@@ -282,6 +340,10 @@ type entry struct {
 	brk *breaker
 }
 
+// crcHdr is block id's X-Apcc-Crc32 value: a len == cap == 1 window
+// onto the entry's table, so an append cannot reach a neighbour.
+func (e *entry) crcHdr(id int) []string { return e.crcHdrs[id : id+1 : id+1] }
+
 // New builds a Server. Call Close when done to stop the worker pool.
 // An unknown Config.Policy falls back to the LRU default (use
 // policy.Names to validate user input first). The only error source is
@@ -297,7 +359,7 @@ func New(cfg Config) (*Server, error) {
 		pool:       NewPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch),
 		metrics:    NewMetrics(),
 		readaheadK: cfg.ReadaheadK,
-		entries:    make(map[string]*entry),
+		entries:    make(map[entryKey]*entry),
 		unp:        pack.NewUnpacker(),
 		log:        cfg.Log,
 		timeout:    cfg.RequestTimeout,
@@ -418,12 +480,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		s.metrics.Requests.Add(1)
 		s.metrics.InFlight.Add(1)
 		defer s.metrics.InFlight.Add(-1)
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		rec := recorders.Get().(*statusRecorder)
+		*rec = statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		defer func() {
 			if rec.status >= 400 {
 				s.metrics.Errors.Add(1)
 			}
 			s.metrics.BytesSent.Add(rec.bytes)
+			// The handler has returned, so nothing holds rec any more;
+			// drop the writer so the pool does not pin the connection.
+			*rec = statusRecorder{}
+			recorders.Put(rec)
 		}()
 		// Shed serving-path requests while the pool backlog is at the
 		// configured depth: a request admitted now would only block on
@@ -450,6 +517,11 @@ type statusRecorder struct {
 	status int
 	bytes  int64
 }
+
+// recorders recycles the per-request statusRecorder. A recorder belongs
+// to one request from Get until its handler returns; handlers must not
+// keep their ResponseWriter past that.
+var recorders = sync.Pool{New: func() any { return new(statusRecorder) }}
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
@@ -620,7 +692,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	tr := s.rec.StartTrace()
 	rsp := tr.Begin(obs.StageRoute)
 	ctx := obs.WithTrace(r.Context(), tr)
-	ent, status, err := s.entryFor(ctx, r.PathValue("workload"), codecParam(r))
+	q := parseBlockQuery(r.URL.RawQuery)
+	ent, status, err := s.entryFor(ctx, r.PathValue("workload"), q.codecName())
 	if err != nil {
 		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
@@ -636,8 +709,8 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.SetLabels(r.PathValue("workload"), ent.codec.Name(), id)
-	if r.URL.Query().Get("word") != "" {
-		s.serveWordRange(ctx, w, r, tr, rsp, ent, id)
+	if q.word != "" {
+		s.serveWordRange(ctx, w, q, tr, rsp, ent, id)
 		return
 	}
 	plain := ent.plain[id]
@@ -684,47 +757,45 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		}
 		return comp, missCost, err
 	}
-	// The closure allocation above stays inside the route span so the
-	// hand-off to the cache leaves only call overhead unattributed.
+	// Root spans tile the trace, so the hand-off to the cache is charged
+	// to l1, and the write span opens as soon as the cache returns, its
+	// error checks and error response included: summed exclusive times
+	// then track the trace's end-to-end total (asserted within 10% by
+	// the e2e test).
 	rsp.End(obs.OutcomeOK)
 	payload, hit, err := s.cache.GetOrComputeCost(ctx, ent.keys[id], compute)
+	wsp := tr.Begin(obs.StageWrite)
+	if err == nil {
+		// The deadline may have fired while the payload was being
+		// produced (the leader completes detached from our context);
+		// don't start a response write the client already gave up on.
+		err = ctx.Err()
+	}
 	if err != nil {
+		wsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	if ctx.Err() != nil {
-		// The deadline fired while the payload was being produced (the
-		// leader completes detached from our context); don't start a
-		// response write the client already gave up on.
-		s.finishTrace(tr, obs.OutcomeError)
-		http.Error(w, ctx.Err().Error(), statusFor(ctx.Err()))
-		return
-	}
-	outcome := obs.OutcomeMiss
+	outcome, cacheHdr := obs.OutcomeMiss, hdrCacheMiss
 	if hit {
-		outcome = obs.OutcomeHit
+		outcome, cacheHdr = obs.OutcomeHit, hdrCacheHit
 	}
-	// The write span opens before the metric and header work so almost
-	// all handler time lives inside some span: summed exclusive times
-	// then track the trace's end-to-end total (asserted within 10% by
-	// the e2e test).
-	wsp := tr.Begin(obs.StageWrite)
 	s.metrics.Blocks.Add(1)
 	ent.hist.Observe(time.Since(start))
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set(HeaderCodec, ent.codec.Name())
-	h.Set(HeaderWords, strconv.Itoa(len(plain)/isa.WordSize))
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", ent.crcs[id]))
-	h.Set(HeaderCache, outcome)
+	h["Content-Type"] = hdrOctetStream
+	h[HeaderCodec] = ent.codecHdr
+	h[HeaderWords] = decimalHdr(len(plain) / isa.WordSize)
+	h[HeaderCRC] = ent.crcHdr(id)
+	h[HeaderCache] = cacheHdr
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
 	w.Write(payload)
-	wsp.End(obs.OutcomeOK)
-	s.finishTrace(tr, outcome)
+	tr.FinishWith(wsp, obs.OutcomeOK, outcome)
+	s.recordTrace(tr, outcome)
 }
 
 // wordReadCompGuess pre-sizes the pooled compressed-bytes buffer for a
@@ -749,28 +820,25 @@ var errWordMismatch = errors.New("word span differs from the entry's plain image
 // compressed blocks for full-block serving, and letting sub-block
 // probes admit or promote entries would let a word-scanning client
 // evict the real working set (pinned by TestWordReadDoesNotTouchL1).
-func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *http.Request, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
-	q := r.URL.Query()
-	word, err := strconv.Atoi(q.Get("word"))
+func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, q blockQuery, tr *obs.Trace, rsp obs.SpanHandle, ent *entry, id int) {
+	word, err := strconv.Atoi(q.word)
 	nwords := 1
-	if err == nil {
-		if ws := q.Get("words"); ws != "" {
-			nwords, err = strconv.Atoi(ws)
-		}
+	if err == nil && q.words != "" {
+		nwords, err = strconv.Atoi(q.words)
 	}
 	blockWords := len(ent.plain[id]) / isa.WordSize
 	if err != nil || word < 0 || nwords < 1 || word > blockWords-nwords {
 		rsp.End(obs.OutcomeError)
 		s.finishTrace(tr, obs.OutcomeError)
 		http.Error(w, fmt.Sprintf("bad word range word=%q words=%q (block %d has %d words)",
-			q.Get("word"), q.Get("words"), id, blockWords), http.StatusBadRequest)
+			q.word, q.words, id, blockWords), http.StatusBadRequest)
 		return
 	}
 	rsp.End(obs.OutcomeOK)
 	dst := compress.GetBuf(nwords * isa.WordSize)
 	defer func() { compress.PutBuf(dst) }()
 	span, fromStore := s.wordSpanFromStore(ctx, ent, id, word, nwords, dst[:0])
-	source := "store"
+	source := hdrSourceStore
 	if fromStore {
 		dst = span // recycle the (possibly grown) buffer
 		s.metrics.StoreWordReads.Add(1)
@@ -778,26 +846,27 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, r *h
 		// Fallback: slice the verified in-memory image directly (v2
 		// containers, non-group codecs, detached or absent objects).
 		span = ent.plain[id][word*isa.WordSize : (word+nwords)*isa.WordSize]
-		source = "memory"
+		source = hdrSourceMemory
 		s.metrics.WordFallbacks.Add(1)
 	}
-	s.metrics.WordReads.Add(1)
 	wsp := tr.Begin(obs.StageWrite)
+	s.metrics.WordReads.Add(1)
+	crc := hexCRC(crc32.ChecksumIEEE(span))
 	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set(HeaderCodec, ent.codec.Name())
-	h.Set(HeaderWords, strconv.Itoa(nwords))
-	h.Set(HeaderWord, strconv.Itoa(word))
-	h.Set(HeaderSource, source)
-	h.Set(HeaderCRC, fmt.Sprintf("%08x", crc32.ChecksumIEEE(span)))
-	h.Set(HeaderCache, "bypass")
+	h["Content-Type"] = hdrOctetStream
+	h[HeaderCodec] = ent.codecHdr
+	h[HeaderWords] = decimalHdr(nwords)
+	h[HeaderWord] = decimalHdr(word)
+	h[HeaderSource] = source
+	h[HeaderCRC] = []string{string(crc[:])}
+	h[HeaderCache] = hdrCacheBypass
 	if tr != nil {
 		h.Set(HeaderTrace, strconv.FormatUint(tr.TraceID(), 10))
 		h.Set(HeaderStages, stagesHeader(tr.Spans()))
 	}
 	w.Write(span)
-	wsp.End(obs.OutcomeOK)
-	s.finishTrace(tr, obs.OutcomeOK)
+	tr.FinishWith(wsp, obs.OutcomeOK, obs.OutcomeOK)
+	s.recordTrace(tr, obs.OutcomeOK)
 }
 
 // wordSpanFromStore reads [word, word+nwords) of block id through the
@@ -867,14 +936,19 @@ func stagesHeader(spans []obs.Span) string {
 	return sb.String()
 }
 
-// finishTrace stamps a completed request trace, attributes each span's
-// exclusive time to the per-stage histograms, emits the per-request
-// debug log line, and hands the trace to the ring. Nil trace no-ops.
+// finishTrace stamps a completed request trace and records it.
 func (s *Server) finishTrace(tr *obs.Trace, outcome string) {
+	tr.Finish(outcome)
+	s.recordTrace(tr, outcome)
+}
+
+// recordTrace attributes each span's exclusive time of a finished trace
+// to the per-stage histograms, emits the per-request debug log line,
+// and hands the trace to the ring. Nil trace no-ops.
+func (s *Server) recordTrace(tr *obs.Trace, outcome string) {
 	if tr == nil {
 		return
 	}
-	tr.Finish(outcome)
 	codec := tr.Codec
 	if codec == "" {
 		codec = "unknown" // request failed before the entry resolved
@@ -1052,12 +1126,66 @@ func (s *Server) l2Attempt(ctx context.Context, tr *obs.Trace, ent *entry, obj *
 	return out, nil
 }
 
-// codecParam extracts the codec query parameter, defaulting to dict.
-func codecParam(r *http.Request) string {
-	if c := r.URL.Query().Get("codec"); c != "" {
-		return c
+// blockQuery holds the query parameters the pack and block endpoints
+// read. Each field is exactly what url.ParseQuery followed by
+// Values.Get would give (pinned by FuzzBlockQuery).
+type blockQuery struct{ codec, word, words string }
+
+// parseBlockQuery reads the codec, word and words parameters from a
+// raw query in one pass. It follows url.ParseQuery's rules: pairs split
+// on '&', a pair containing ';' is skipped, as is one whose key or value
+// is a bad escape, and the first valid pair for a key wins. Only pairs
+// containing '%' or '+' are unescaped, so a plain query allocates
+// nothing.
+func parseBlockQuery(raw string) blockQuery {
+	var q blockQuery
+	var seen [3]bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		if strings.ContainsAny(pair, "%+") {
+			var err error
+			if key, err = url.QueryUnescape(key); err != nil {
+				continue
+			}
+			if val, err = url.QueryUnescape(val); err != nil {
+				continue
+			}
+		}
+		var i int
+		var dst *string
+		switch key {
+		case "codec":
+			i, dst = 0, &q.codec
+		case "word":
+			i, dst = 1, &q.word
+		case "words":
+			i, dst = 2, &q.words
+		default:
+			continue
+		}
+		if !seen[i] {
+			seen[i], *dst = true, val
+		}
+	}
+	return q
+}
+
+// codecName is the requested codec, defaulting to dict.
+func (q blockQuery) codecName() string {
+	if q.codec != "" {
+		return q.codec
 	}
 	return "dict"
+}
+
+// codecParam extracts the codec query parameter, defaulting to dict.
+func codecParam(r *http.Request) string {
+	return parseBlockQuery(r.URL.RawQuery).codecName()
 }
 
 // checkCodec validates a codec name against the registry without
@@ -1073,7 +1201,7 @@ func checkCodec(name string) error {
 // building it exactly once. The returned status is an HTTP status for
 // err.
 func (s *Server) entryFor(ctx context.Context, workload, codecName string) (*entry, int, error) {
-	key := store.RefName(workload, codecName)
+	key := entryKey{workload, codecName}
 	s.mu.Lock()
 	ent, ok := s.entries[key]
 	if !ok {
@@ -1099,8 +1227,15 @@ func (s *Server) entryFor(ctx context.Context, workload, codecName string) (*ent
 		s.mu.Unlock()
 		select {
 		case <-ent.ready:
-		case <-ctx.Done():
-			return nil, statusFor(ctx.Err()), ctx.Err()
+		default:
+			// Only a request that actually has to wait touches
+			// ctx.Done(), which allocates a channel per request on
+			// net/http's cancelCtx.
+			select {
+			case <-ent.ready:
+			case <-ctx.Done():
+				return nil, statusFor(ctx.Err()), ctx.Err()
+			}
 		}
 	}
 	if ent.err != nil {
@@ -1234,14 +1369,19 @@ func (s *Server) finishEntry(ent *entry, container []byte, p *program.Program, c
 	}
 	keys := BlockAddresses(codec.Name(), compress.MarshalModel(codec), plain)
 	crcs := make([]uint32, len(plain))
+	crcHdrs := make([]string, len(plain))
 	for i, b := range plain {
 		crcs[i] = crc32.ChecksumIEEE(b)
+		hex := hexCRC(crcs[i])
+		crcHdrs[i] = string(hex[:])
 	}
 	ent.container = container
 	ent.codec = codec
 	ent.plain = plain
 	ent.crcs = crcs
 	ent.keys = keys
+	ent.codecHdr = []string{codec.Name()}
+	ent.crcHdrs = crcHdrs
 	// Only blockFromStore reads the candidate table, so a store-less
 	// server skips both the beam search and the table's footprint.
 	if s.store != nil && s.readaheadK > 0 {
