@@ -1,14 +1,17 @@
 package service
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"apbcc/internal/faults"
+	"apbcc/internal/obs"
+	"apbcc/internal/pack"
 	"apbcc/internal/report"
 	"apbcc/internal/store"
 )
@@ -18,7 +21,7 @@ import (
 // sub-50µs buckets resolve per-stage attribution (an L1 lookup or a
 // single-block decode is microseconds), the top covers cold
 // whole-container packs.
-var histBounds = []time.Duration{
+var histBounds = [...]time.Duration{
 	1 * time.Microsecond,
 	5 * time.Microsecond,
 	10 * time.Microsecond,
@@ -40,7 +43,16 @@ var histBounds = []time.Duration{
 }
 
 // numBuckets is len(histBounds) plus the open-ended overflow bucket.
-const numBuckets = 19
+const numBuckets = len(histBounds) + 1
+
+// promBounds is histBounds in seconds, the unit Prometheus histograms
+// expose.
+var promBounds = func() (out [len(histBounds)]float64) {
+	for i, b := range histBounds {
+		out[i] = b.Seconds()
+	}
+	return out
+}()
 
 // Histogram is a fixed-bucket latency histogram safe for concurrent
 // observation. Observations beyond the last bound land in an overflow
@@ -134,6 +146,13 @@ func (h *Histogram) snapshot() (cum [numBuckets]int64, sumNS int64) {
 	return cum, h.sumNS.Load()
 }
 
+// writeProm writes the histogram as one Prometheus series under name.
+func (h *Histogram) writeProm(p *obs.PromWriter, name string, labels []obs.Label) {
+	cum, sumNS := h.snapshot()
+	p.Histogram(name, labels, promBounds[:], cum[:len(histBounds)],
+		time.Duration(sumNS).Seconds(), cum[numBuckets-1])
+}
+
 // overflowMax reports the largest observation beyond the last bound,
 // falling back to the last bound if (impossibly) none was recorded.
 func (h *Histogram) overflowMax() time.Duration {
@@ -157,8 +176,8 @@ type Metrics struct {
 	BytesSent atomic.Int64 // payload bytes written
 
 	// Word-granular serving counters (the v3 sub-block path; word reads
-	// bypass the L1 block cache entirely).
-	WordReads      atomic.Int64 // word-span requests served from any source
+	// bypass the L1 block cache entirely). Each word read counts in
+	// exactly one of the two.
 	StoreWordReads atomic.Int64 // word spans served through the store's group directory
 	WordFallbacks  atomic.Int64 // word spans served by slicing the in-memory image
 
@@ -285,91 +304,248 @@ func (m *Metrics) stageKeys() []StageKey {
 	return keys
 }
 
-// WriteTables renders the metrics through internal/report. st carries
-// the disk-store census (nil when no store is configured; the store
-// table is omitted). csv selects the CSV dialect (one table after
-// another, separated by blank lines); otherwise aligned text tables
-// are written.
-func (m *Metrics) WriteTables(w io.Writer, cache CacheStats, pool PoolStats, st *store.Stats, csv bool) error {
-	svc := report.NewTable("service", "metric", "value")
-	svc.AddRow("uptime_seconds", fmt.Sprintf("%.1f", time.Since(m.start).Seconds()))
-	svc.AddRow("requests_total", m.Requests.Load())
-	svc.AddRow("errors_total", m.Errors.Load())
-	svc.AddRow("in_flight", m.InFlight.Load())
-	svc.AddRow("packs_built_total", m.Packs.Load())
-	svc.AddRow("blocks_served_total", m.Blocks.Load())
-	svc.AddRow("word_reads_total", m.WordReads.Load())
-	svc.AddRow("payload_bytes_total", m.BytesSent.Load())
+// scrape is one reading of every source the metric list renders,
+// taken once per request.
+type scrape struct {
+	m     *Metrics
+	cache CacheStats
+	pool  PoolStats
+	st    *store.Stats // nil when no store is configured
+	ver   pack.VerifyStats
+	rec   obs.RecorderStats
+}
 
-	ct := report.NewTable("block cache", "metric", "value")
-	ct.AddRow("hits", cache.Hits)
-	ct.AddRow("misses", cache.Misses)
-	ct.AddRow("coalesced", cache.Coalesced)
-	ct.AddRow("wait_aborts", cache.WaitAborts)
-	ct.AddRow("hit_rate", fmt.Sprintf("%.4f", cache.HitRate()))
-	ct.AddRow("evictions", cache.Evictions)
-	ct.AddRow("entries", cache.Entries)
-	ct.AddRow("bytes", cache.Bytes)
+// series is one row of the metric list: a Prometheus sample, a
+// /metrics table row, or both, reading one value from a scrape.
+type series struct {
+	// Prometheus family; typ and help go on the family's first row
+	// only. An empty name keeps the row out of /metrics/prom.
+	name, typ, help string
+	label, value    string // the sample's one label, if any
+	// /metrics table title and row name; an empty table keeps the row
+	// out of /metrics. prec is the cell's decimal places.
+	table, row string
+	prec       int
+	store      bool // rendered only when a disk store is configured
+	read       func(*scrape) float64
+	// emit writes a family's samples in place of read, for label sets
+	// known only at scrape time; tab builds a whole table, with its own
+	// columns, in place of table, row and read.
+	emit func(p *obs.PromWriter, name string, s *scrape)
+	tab  func(*scrape) *report.Table
+}
 
-	pt := report.NewTable("worker pool", "metric", "value")
-	pt.AddRow("workers", pool.Workers)
-	pt.AddRow("submitted", pool.Submitted)
-	pt.AddRow("completed", pool.Completed)
-	pt.AddRow("batches", pool.Batches)
-	pt.AddRow("mean_batch", fmt.Sprintf("%.2f", pool.MeanBatch()))
-	pt.AddRow("in_flight", pool.InFlight)
+// metricSeries is every metric apcc-serve exports, in /metrics/prom
+// order. The /metrics tables follow the list too: a table starts at
+// its first row, so a table's rows must be contiguous. A new counter
+// is one row here. Family names are fixed at compile time, so scrape
+// configs survive restarts (pinned by TestPromNamesStableAcrossRestarts).
+var metricSeries = []series{
+	{name: "apcc_uptime_seconds", typ: "gauge", help: "Seconds since the server started.",
+		table: "service", row: "uptime_seconds", prec: 1, read: func(s *scrape) float64 { return time.Since(s.m.start).Seconds() }},
+	{name: "apcc_http_requests_total", typ: "counter", help: "HTTP requests received.",
+		table: "service", row: "requests_total", read: func(s *scrape) float64 { return float64(s.m.Requests.Load()) }},
+	{name: "apcc_http_errors_total", typ: "counter", help: "HTTP responses with status >= 400.",
+		table: "service", row: "errors_total", read: func(s *scrape) float64 { return float64(s.m.Errors.Load()) }},
+	{name: "apcc_http_in_flight", typ: "gauge", help: "HTTP requests currently being handled.",
+		table: "service", row: "in_flight", read: func(s *scrape) float64 { return float64(s.m.InFlight.Load()) }},
+	{name: "apcc_packs_built_total", typ: "counter", help: "Containers built (not cached re-serves).",
+		table: "service", row: "packs_built_total", read: func(s *scrape) float64 { return float64(s.m.Packs.Load()) }},
+	{name: "apcc_blocks_served_total", typ: "counter", help: "Block fetches served.",
+		table: "service", row: "blocks_served_total", read: func(s *scrape) float64 { return float64(s.m.Blocks.Load()) }},
+	{table: "service", row: "word_reads_total",
+		read: func(s *scrape) float64 { return float64(s.m.StoreWordReads.Load() + s.m.WordFallbacks.Load()) }},
+	{name: "apcc_payload_bytes_total", typ: "counter", help: "Payload bytes written to clients.",
+		table: "service", row: "payload_bytes_total", read: func(s *scrape) float64 { return float64(s.m.BytesSent.Load()) }},
+	{name: "apcc_word_reads_total", typ: "counter",
+		help:  "Word-span reads served, by source (store = v3 group directory, memory = entry plain image).",
+		label: "source", value: "store", read: func(s *scrape) float64 { return float64(s.m.StoreWordReads.Load()) }},
+	{name: "apcc_word_reads_total", label: "source", value: "memory",
+		read: func(s *scrape) float64 { return float64(s.m.WordFallbacks.Load()) }},
 
-	lt := report.NewTable("block latency by codec", "codec", "count", "mean", "p50", "p90", "p99")
-	for _, name := range m.codecNames() {
-		h := m.CodecHist(name)
-		lt.AddRow(name, h.Count(), h.Mean().String(),
+	{name: "apcc_cache_events_total", typ: "counter", help: "Block-cache events by kind.", label: "event", value: "hit",
+		table: "block cache", row: "hits", read: func(s *scrape) float64 { return float64(s.cache.Hits) }},
+	{name: "apcc_cache_events_total", label: "event", value: "miss",
+		table: "block cache", row: "misses", read: func(s *scrape) float64 { return float64(s.cache.Misses) }},
+	{name: "apcc_cache_events_total", label: "event", value: "coalesced",
+		table: "block cache", row: "coalesced", read: func(s *scrape) float64 { return float64(s.cache.Coalesced) }},
+	{name: "apcc_cache_events_total", label: "event", value: "wait_abort",
+		table: "block cache", row: "wait_aborts", read: func(s *scrape) float64 { return float64(s.cache.WaitAborts) }},
+	{table: "block cache", row: "hit_rate", prec: 4, read: func(s *scrape) float64 { return s.cache.HitRate() }},
+	{name: "apcc_cache_events_total", label: "event", value: "eviction",
+		table: "block cache", row: "evictions", read: func(s *scrape) float64 { return float64(s.cache.Evictions) }},
+	{name: "apcc_cache_entries", typ: "gauge", help: "Resident block-cache entries.",
+		table: "block cache", row: "entries", read: func(s *scrape) float64 { return float64(s.cache.Entries) }},
+	{name: "apcc_cache_bytes", typ: "gauge", help: "Resident block-cache bytes.",
+		table: "block cache", row: "bytes", read: func(s *scrape) float64 { return float64(s.cache.Bytes) }},
+
+	{name: "apcc_pool_workers", typ: "gauge", help: "Worker-pool size.",
+		table: "worker pool", row: "workers", read: func(s *scrape) float64 { return float64(s.pool.Workers) }},
+	{name: "apcc_pool_jobs_total", typ: "counter", help: "Worker-pool jobs by state.", label: "state", value: "submitted",
+		table: "worker pool", row: "submitted", read: func(s *scrape) float64 { return float64(s.pool.Submitted) }},
+	{name: "apcc_pool_jobs_total", label: "state", value: "completed",
+		table: "worker pool", row: "completed", read: func(s *scrape) float64 { return float64(s.pool.Completed) }},
+	{name: "apcc_pool_batches_total", typ: "counter", help: "Worker wakeups (Completed/Batches = mean batch).",
+		table: "worker pool", row: "batches", read: func(s *scrape) float64 { return float64(s.pool.Batches) }},
+	{table: "worker pool", row: "mean_batch", prec: 2, read: func(s *scrape) float64 { return s.pool.MeanBatch() }},
+	{name: "apcc_pool_in_flight", typ: "gauge", help: "Jobs submitted but not finished.",
+		table: "worker pool", row: "in_flight", read: func(s *scrape) float64 { return float64(s.pool.InFlight) }},
+	{tab: codecLatencyTable},
+
+	{name: "apcc_verify_unpacks_total", typ: "counter",
+		help:  "Container verification unpacks by mode (reused = cached skeleton fast path).",
+		label: "mode", value: "full", read: func(s *scrape) float64 { return float64(s.ver.Full) }},
+	{name: "apcc_verify_unpacks_total", label: "mode", value: "reused",
+		read: func(s *scrape) float64 { return float64(s.ver.Reused) }},
+	{name: "apcc_verify_unpack_seconds_total", typ: "counter", help: "Cumulative seconds spent in verification unpacks.",
+		read: func(s *scrape) float64 { return time.Duration(s.ver.NS).Seconds() }},
+
+	{name: "apcc_shed_total", typ: "counter", help: "Requests rejected 429 by queue-depth admission control.",
+		table: "resilience", row: "shed_total", read: func(s *scrape) float64 { return float64(s.m.Shed.Load()) }},
+	{name: "apcc_retries_total", typ: "counter", help: "Transient L2 read retry loops by outcome.",
+		label: "outcome", value: "success", table: "resilience", row: "retry_success_total",
+		read: func(s *scrape) float64 { return float64(s.m.RetrySuccess.Load()) }},
+	{name: "apcc_retries_total", label: "outcome", value: "exhausted", table: "resilience", row: "retry_exhausted_total",
+		read: func(s *scrape) float64 { return float64(s.m.RetryExhausted.Load()) }},
+	{name: "apcc_retries_total", label: "outcome", value: "aborted", table: "resilience", row: "retry_aborted_total",
+		read: func(s *scrape) float64 { return float64(s.m.RetryAborted.Load()) }},
+	{name: "apcc_breaker_state", typ: "gauge", help: "Entry circuit breakers currently in each non-closed state.",
+		label: "state", value: "open", table: "resilience", row: "breaker_open",
+		read: func(s *scrape) float64 { return float64(s.m.BreakerOpen.Load()) }},
+	{name: "apcc_breaker_state", label: "state", value: "half-open", table: "resilience", row: "breaker_half_open",
+		read: func(s *scrape) float64 { return float64(s.m.BreakerHalfOpen.Load()) }},
+	{name: "apcc_breaker_transitions_total", typ: "counter", help: "Circuit-breaker state transitions by kind.",
+		label: "kind", value: "open", table: "resilience", row: "breaker_opens_total",
+		read: func(s *scrape) float64 { return float64(s.m.BreakerOpens.Load()) }},
+	{name: "apcc_breaker_transitions_total", label: "kind", value: "close", table: "resilience", row: "breaker_closes_total",
+		read: func(s *scrape) float64 { return float64(s.m.BreakerCloses.Load()) }},
+	{name: "apcc_breaker_transitions_total", label: "kind", value: "probe", table: "resilience", row: "breaker_probes_total",
+		read: func(s *scrape) float64 { return float64(s.m.BreakerProbes.Load()) }},
+	{name: "apcc_breaker_rejects_total", typ: "counter", help: "L2 reads skipped because an entry's breaker was open.",
+		table: "resilience", row: "breaker_rejects_total", read: func(s *scrape) float64 { return float64(s.m.BreakerRejects.Load()) }},
+	{name: "apcc_faults_injected_total", typ: "counter", emit: emitFaults,
+		help: "Failpoint activations by site and action kind (zero when fault injection is disabled)."},
+
+	{name: "apcc_trace_records_total", typ: "counter", help: "Request traces recorded to the ring buffer.",
+		read: func(s *scrape) float64 { return float64(s.rec.Recorded) }},
+	{name: "apcc_trace_truncated_total", typ: "counter", help: "Traces that hit the per-trace span cap.",
+		read: func(s *scrape) float64 { return float64(s.rec.Truncated) }},
+
+	{name: "apcc_store_objects", typ: "gauge", help: "Objects in the disk store.", store: true,
+		table: "disk store", row: "objects", read: func(s *scrape) float64 { return float64(s.st.Objects) }},
+	{name: "apcc_store_refs", typ: "gauge", help: "Named refs in the disk store.", store: true,
+		table: "disk store", row: "refs", read: func(s *scrape) float64 { return float64(s.st.Refs) }},
+	{name: "apcc_store_warm_restores_total", typ: "counter", help: "Entries restored from the store without packing.", store: true,
+		table: "disk store", row: "warm_restores", read: func(s *scrape) float64 { return float64(s.m.StoreWarm.Load()) }},
+	{name: "apcc_store_persists_total", typ: "counter", help: "Containers persisted to the store.", store: true,
+		table: "disk store", row: "containers_persisted", read: func(s *scrape) float64 { return float64(s.m.StorePersists.Load()) }},
+	{name: "apcc_store_l2_events_total", typ: "counter", help: "L2 tier events by kind.", store: true, label: "event", value: "hit",
+		table: "disk store", row: "l2_block_hits", read: func(s *scrape) float64 { return float64(s.m.StoreL2Hits.Load()) }},
+	{name: "apcc_store_l2_events_total", store: true, label: "event", value: "miss",
+		table: "disk store", row: "l2_block_misses", read: func(s *scrape) float64 { return float64(s.m.StoreL2Misses.Load()) }},
+	{name: "apcc_store_l2_events_total", store: true, label: "event", value: "readahead_admit",
+		table: "disk store", row: "readahead_admitted", read: func(s *scrape) float64 { return float64(s.m.StoreReadahead.Load()) }},
+	{name: "apcc_store_block_reads_total", typ: "counter", help: "Blocks read from store objects.", store: true,
+		table: "disk store", row: "block_reads", read: func(s *scrape) float64 { return float64(s.st.BlockReads) }},
+	{name: "apcc_store_block_read_bytes_total", typ: "counter", help: "Compressed bytes read from store objects.", store: true,
+		table: "disk store", row: "block_read_bytes", read: func(s *scrape) float64 { return float64(s.st.BlockBytes) }},
+	{name: "apcc_store_word_reads_total", typ: "counter", help: "Word-group reads through store objects' group directories.", store: true,
+		table: "disk store", row: "word_reads", read: func(s *scrape) float64 { return float64(s.st.WordReads) }},
+	{name: "apcc_store_word_read_bytes_total", typ: "counter", help: "Compressed bytes read by word-group reads.", store: true,
+		table: "disk store", row: "word_read_bytes", read: func(s *scrape) float64 { return float64(s.st.WordReadBytes) }},
+	{name: "apcc_store_put_bytes_total", typ: "counter", help: "Bytes written to the store.", store: true,
+		table: "disk store", row: "put_bytes", read: func(s *scrape) float64 { return float64(s.st.PutBytes) }},
+	{name: "apcc_store_quarantined_total", typ: "counter", help: "Objects quarantined as corrupt.", store: true,
+		table: "disk store", row: "quarantined", read: func(s *scrape) float64 { return float64(s.st.Quarantined) }},
+
+	{name: "apcc_block_serve_seconds", typ: "histogram", help: "End-to-end block serve latency by codec.",
+		emit: emitCodecHists},
+	{name: "apcc_block_stage_seconds", typ: "histogram", emit: emitStageHists,
+		help: "Per-stage exclusive latency of block serving, attributed by stage, codec and outcome."},
+}
+
+func emitFaults(p *obs.PromWriter, name string, _ *scrape) {
+	for _, site := range faults.Snapshot() {
+		for _, kind := range []string{faults.KindLatency, faults.KindTransient, faults.KindBitFlip} {
+			p.Sample(name, []obs.Label{{Name: "site", Value: site.Name}, {Name: "kind", Value: kind}},
+				float64(site.Injected[kind]))
+		}
+	}
+}
+
+func emitCodecHists(p *obs.PromWriter, name string, s *scrape) {
+	for _, codec := range s.m.codecNames() {
+		s.m.CodecHist(codec).writeProm(p, name, []obs.Label{{Name: "codec", Value: codec}})
+	}
+}
+
+func codecLatencyTable(s *scrape) *report.Table {
+	t := report.NewTable("block latency by codec", "codec", "count", "mean", "p50", "p90", "p99")
+	for _, codec := range s.m.codecNames() {
+		h := s.m.CodecHist(codec)
+		t.AddRow(codec, h.Count(), h.Mean().String(),
 			h.Quantile(0.50).String(), h.Quantile(0.90).String(), h.Quantile(0.99).String())
 	}
+	return t
+}
 
-	rt := report.NewTable("resilience", "metric", "value")
-	rt.AddRow("shed_total", m.Shed.Load())
-	rt.AddRow("retry_success_total", m.RetrySuccess.Load())
-	rt.AddRow("retry_exhausted_total", m.RetryExhausted.Load())
-	rt.AddRow("retry_aborted_total", m.RetryAborted.Load())
-	rt.AddRow("breaker_rejects_total", m.BreakerRejects.Load())
-	rt.AddRow("breaker_opens_total", m.BreakerOpens.Load())
-	rt.AddRow("breaker_closes_total", m.BreakerCloses.Load())
-	rt.AddRow("breaker_probes_total", m.BreakerProbes.Load())
-	rt.AddRow("breaker_open", m.BreakerOpen.Load())
-	rt.AddRow("breaker_half_open", m.BreakerHalfOpen.Load())
-
-	tables := []*report.Table{svc, ct, pt, lt, rt}
-	if st != nil {
-		dt := report.NewTable("disk store", "metric", "value")
-		dt.AddRow("objects", st.Objects)
-		dt.AddRow("refs", st.Refs)
-		dt.AddRow("warm_restores", m.StoreWarm.Load())
-		dt.AddRow("containers_persisted", m.StorePersists.Load())
-		dt.AddRow("l2_block_hits", m.StoreL2Hits.Load())
-		dt.AddRow("l2_block_misses", m.StoreL2Misses.Load())
-		dt.AddRow("readahead_admitted", m.StoreReadahead.Load())
-		dt.AddRow("block_reads", st.BlockReads)
-		dt.AddRow("block_read_bytes", st.BlockBytes)
-		dt.AddRow("word_reads", st.WordReads)
-		dt.AddRow("word_read_bytes", st.WordReadBytes)
-		dt.AddRow("put_bytes", st.PutBytes)
-		dt.AddRow("quarantined", st.Quarantined)
-		tables = append(tables, dt)
+func emitStageHists(p *obs.PromWriter, name string, s *scrape) {
+	for _, k := range s.m.stageKeys() {
+		s.m.StageHist(k.Stage, k.Codec, k.Outcome).writeProm(p, name, []obs.Label{
+			{Name: "stage", Value: k.Stage},
+			{Name: "codec", Value: k.Codec},
+			{Name: "outcome", Value: k.Outcome},
+		})
 	}
-	for _, t := range tables {
-		if csv {
-			if _, err := io.WriteString(w, t.CSV()); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
+}
+
+// writeProm renders the metric list as Prometheus text exposition
+// (version 0.0.4).
+func writeProm(w io.Writer, s *scrape) error {
+	p := obs.NewPromWriter(w)
+	for _, r := range metricSeries {
+		if r.name == "" || r.store && s.st == nil {
 			continue
 		}
-		if _, err := t.WriteTo(w); err != nil {
-			return err
+		if r.help != "" {
+			p.Family(r.name, r.typ, r.help)
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
+		switch {
+		case r.emit != nil:
+			r.emit(p, r.name, s)
+		case r.label != "":
+			p.Sample(r.name, []obs.Label{{Name: r.label, Value: r.value}}, r.read(s))
+		default:
+			p.Sample(r.name, nil, r.read(s))
+		}
+	}
+	return p.Err()
+}
+
+// writeTables renders the metric list through internal/report: CSV
+// (one table after another, separated by blank lines) or aligned text
+// tables. The disk store table is omitted without a store.
+func writeTables(w io.Writer, s *scrape, csv bool) error {
+	var tables []*report.Table
+	var title string
+	for _, r := range metricSeries {
+		switch {
+		case r.tab != nil:
+			tables, title = append(tables, r.tab(s)), ""
+		case r.table == "" || r.store && s.st == nil:
+		default:
+			if r.table != title {
+				tables, title = append(tables, report.NewTable(r.table, "metric", "value")), r.table
+			}
+			tables[len(tables)-1].AddRow(r.row, strconv.FormatFloat(r.read(s), 'f', r.prec, 64))
+		}
+	}
+	for _, t := range tables {
+		body := t.String()
+		if csv {
+			body = t.CSV()
+		}
+		if _, err := io.WriteString(w, body+"\n"); err != nil {
 			return err
 		}
 	}

@@ -32,8 +32,9 @@ func promFamilies(body string) map[string]string {
 
 // TestPromEndpointValid: after real traffic (including the disk-store
 // tier), /metrics/prom passes the exposition linter and carries every
-// counter family /metrics shows as tables, plus the per-stage
-// attribution histograms.
+// family of the metric list with its declared type, /metrics carries
+// every table row of the list, and the per-stage attribution
+// histograms are populated.
 func TestPromEndpointValid(t *testing.T) {
 	_, ts := newTestServerConfig(t, Config{
 		Workers: 4, StoreDir: t.TempDir(),
@@ -58,23 +59,14 @@ func TestPromEndpointValid(t *testing.T) {
 	}
 
 	fams := promFamilies(string(body))
-	for _, want := range []string{
-		"apcc_uptime_seconds", "apcc_http_requests_total", "apcc_http_errors_total",
-		"apcc_http_in_flight", "apcc_packs_built_total", "apcc_blocks_served_total",
-		"apcc_payload_bytes_total", "apcc_cache_events_total", "apcc_cache_entries",
-		"apcc_cache_bytes", "apcc_pool_workers", "apcc_pool_jobs_total",
-		"apcc_pool_batches_total", "apcc_pool_in_flight",
-		"apcc_verify_unpacks_total", "apcc_verify_unpack_seconds_total",
-		"apcc_trace_records_total", "apcc_trace_truncated_total",
-		"apcc_store_objects", "apcc_store_refs", "apcc_store_quarantined_total",
-		"apcc_block_serve_seconds", "apcc_block_stage_seconds",
-	} {
-		if _, ok := fams[want]; !ok {
-			t.Errorf("family %s missing from exposition", want)
+	rows := metricsCSV(t, ts.Client(), ts.URL)
+	for _, r := range metricSeries {
+		if r.typ != "" && fams[r.name] != r.typ {
+			t.Errorf("family %s has type %q in the exposition, want %q", r.name, fams[r.name], r.typ)
 		}
-	}
-	if fams["apcc_block_stage_seconds"] != "histogram" {
-		t.Errorf("apcc_block_stage_seconds type = %q", fams["apcc_block_stage_seconds"])
+		if _, ok := rows[r.row]; r.row != "" && !ok {
+			t.Errorf("/metrics table %q is missing row %s", r.table, r.row)
+		}
 	}
 	// The traffic above must have produced stage attribution series.
 	for _, want := range []string{

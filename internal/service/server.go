@@ -551,24 +551,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	var st *store.Stats
-	if s.store != nil {
-		ss := s.store.Stats()
-		st = &ss
-	}
-	s.metrics.WriteTables(w, s.cache.Stats(), s.pool.Stats(), st, csv)
+	writeTables(w, s.scrape(), csv)
 }
 
-// handleMetricsProm serves the same counters as /metrics, plus the
-// per-stage attribution histograms, in Prometheus text exposition.
+// handleMetricsProm serves the metric list in Prometheus text
+// exposition.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var st *store.Stats
+	writeProm(w, s.scrape())
+}
+
+// scrape reads every source the metric list renders.
+func (s *Server) scrape() *scrape {
+	sc := &scrape{m: s.metrics, cache: s.cache.Stats(), pool: s.pool.Stats(), ver: s.unp.Stats(), rec: s.rec.Stats()}
 	if s.store != nil {
-		ss := s.store.Stats()
-		st = &ss
+		st := s.store.Stats()
+		sc.st = &st
 	}
-	s.metrics.WriteProm(w, s.cache.Stats(), s.pool.Stats(), st, s.unp.Stats(), s.rec)
+	return sc
 }
 
 // handleTrace dumps the trace ring as JSON: the n most recent request
@@ -850,7 +850,6 @@ func (s *Server) serveWordRange(ctx context.Context, w http.ResponseWriter, q bl
 		s.metrics.WordFallbacks.Add(1)
 	}
 	wsp := tr.Begin(obs.StageWrite)
-	s.metrics.WordReads.Add(1)
 	crc := hexCRC(crc32.ChecksumIEEE(span))
 	h := w.Header()
 	h["Content-Type"] = hdrOctetStream
