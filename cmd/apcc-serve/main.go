@@ -32,7 +32,6 @@ import (
 	"apbcc/internal/compress"
 	"apbcc/internal/faults"
 	"apbcc/internal/obs"
-	"apbcc/internal/policy"
 	"apbcc/internal/report"
 	"apbcc/internal/service"
 )
@@ -50,7 +49,6 @@ func main() {
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "pack/compress worker pool size")
 		queue    = flag.Int("queue", 256, "worker pool queue depth")
 		batch    = flag.Int("batch", 8, "worker pool max batch per wakeup")
-		polName  = flag.String("policy", "klru", "block-cache replacement policy: "+strings.Join(policy.Names(), " | "))
 		storeDir = flag.String("store", "", "content-addressed disk store directory (L2 tier + warm restarts)")
 		rahead   = flag.Int("readahead", 0, "predicted successor blocks fetched per L2 read and admitted to L1\n(0 = default of 2, negative disables; needs -store)")
 
@@ -81,9 +79,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if _, err := policy.New[int](*polName); err != nil {
-		fatal(err)
-	}
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		fatal(err)
@@ -94,7 +89,6 @@ func main() {
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		MaxBatch:       *batch,
-		Policy:         *polName,
 		StoreDir:       *storeDir,
 		ReadaheadK:     *rahead,
 		TraceRing:      *traceRing,
@@ -173,8 +167,8 @@ func main() {
 			logger.Error("graceful shutdown incomplete; connections were dropped", "err", err)
 		}
 	}()
-	fmt.Printf("apcc-serve: listening on %s (%d shards, %d MiB cache, %s eviction, %d workers)\n",
-		*addr, *shards, *cacheMB, *polName, *workers)
+	fmt.Printf("apcc-serve: listening on %s (%d shards, %d MiB LRU cache, %d workers)\n",
+		*addr, *shards, *cacheMB, *workers)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal(err)
 	}

@@ -63,19 +63,52 @@ func BenchmarkBlockCache(b *testing.B) {
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = BlockAddress("dict", nil, []byte{byte(i)})
-		c.GetOrCompute(keys[i], func() ([]byte, error) { return make([]byte, 64), nil })
+		c.GetOrCompute(context.Background(), keys[i], func() ([]byte, error) { return make([]byte, 64), nil })
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, _, err := c.GetOrCompute(keys[i%len(keys)], nil); err != nil {
+			if _, _, err := c.GetOrCompute(context.Background(), keys[i%len(keys)], nil); err != nil {
 				b.Error(err)
 				return
 			}
 			i++
 		}
 	})
+}
+
+// BenchmarkCacheFill measures one fill of a full shard holding n
+// entries: each Add admits a key that is not resident and evicts the
+// least recently used one. An LRU fill costs the same whatever n is.
+func BenchmarkCacheFill(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			const size = 64
+			c := NewBlockCache(1, n*size)
+			val := make([]byte, size)
+			// Cycling through 2n keys in order, the next key is always
+			// the one evicted n fills ago.
+			keys := make([]string, 2*n)
+			for i := range keys {
+				keys[i] = BlockAddress("dict", nil, []byte(fmt.Sprint(i)))
+			}
+			for _, k := range keys[:n] {
+				c.Add(k, val)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !c.Add(keys[(n+i)%len(keys)], val) {
+					b.Fatal("fill not admitted")
+				}
+			}
+			b.StopTimer()
+			if st := c.Stats(); st.Entries != int64(n) || st.Evictions != int64(b.N) {
+				b.Fatalf("after %d fills: %d entries, %d evictions; want %d, %d", b.N, st.Entries, st.Evictions, n, b.N)
+			}
+		})
+	}
 }
 
 // BenchmarkPool measures job submission overhead through the batching
@@ -191,28 +224,11 @@ func BenchmarkBlockSource(b *testing.B) {
 		b.Run(codecName+"/l1-hit", func(b *testing.B) {
 			c := NewBlockCache(1, 1<<20)
 			k := BlockAddress(codecName, nil, img)
-			c.GetOrCompute(k, func() ([]byte, error) { return img, nil })
+			c.GetOrCompute(context.Background(), k, func() ([]byte, error) { return img, nil })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, hit, _ := c.GetOrCompute(k, nil); !hit {
-					b.Fatal("not a hit")
-				}
-			}
-		})
-		b.Run(codecName+"/l1-hit-nosink", func(b *testing.B) {
-			// The context-carrying entry point with tracing disabled (no
-			// trace in the context): must match l1-hit — zero allocations
-			// and within noise on ns/op. This is what every request pays
-			// when the operator runs without -trace.
-			c := NewBlockCache(1, 1<<20)
-			k := BlockAddress(codecName, nil, img)
-			ctx := context.Background()
-			c.GetOrComputeCost(ctx, k, func() ([]byte, int64, error) { return img, 1, nil })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, hit, _ := c.GetOrComputeCost(ctx, k, nil); !hit {
+				if _, hit, _ := c.GetOrCompute(context.Background(), k, nil); !hit {
 					b.Fatal("not a hit")
 				}
 			}
@@ -220,17 +236,17 @@ func BenchmarkBlockSource(b *testing.B) {
 		b.Run(codecName+"/l1-hit-traced", func(b *testing.B) {
 			// Full per-request tracing: trace from the recorder pool, span
 			// around the hit, finish + record back into the ring. The
-			// delta over l1-hit-nosink is the whole observability tax.
+			// delta over l1-hit is the whole observability tax.
 			c := NewBlockCache(1, 1<<20)
 			k := BlockAddress(codecName, nil, img)
 			rec := obs.NewRecorder(256, 8)
-			c.GetOrComputeCost(context.Background(), k, func() ([]byte, int64, error) { return img, 1, nil })
+			c.GetOrCompute(context.Background(), k, func() ([]byte, error) { return img, nil })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tr := rec.StartTrace()
 				ctx := obs.WithTrace(context.Background(), tr)
-				if _, hit, _ := c.GetOrComputeCost(ctx, k, nil); !hit {
+				if _, hit, _ := c.GetOrCompute(ctx, k, nil); !hit {
 					b.Fatal("not a hit")
 				}
 				tr.Finish(obs.OutcomeHit)

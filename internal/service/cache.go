@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"apbcc/internal/obs"
-	"apbcc/internal/policy"
 )
 
 // stormThreshold is the eviction count at which one insert counts as an
@@ -79,14 +78,13 @@ func (s CacheStats) HitRate() float64 {
 // BlockCache is a sharded, content-addressed cache for compressed
 // block payloads. Each shard has an independent lock, so concurrent
 // requests for different blocks contend only when they hash to the
-// same shard; each shard also runs its own instance of a pluggable
-// replacement policy (internal/policy) — the same engine the embedded
-// runtime evicts under, so the server can compare plain LRU against
-// cost-aware or frequency-based eviction. Cached values are shared
-// slices: callers must not mutate them.
+// same shard, and evicts least-recently-used entries under its own
+// byte budget — the paper's replacement rule, kept as an intrusive
+// list so a hit, a fill and each eviction cost O(1) whatever the
+// shard holds. Cached values are shared slices: callers must not
+// mutate them.
 type BlockCache struct {
-	shards  []*cacheShard
-	polName string
+	shards []*cacheShard
 }
 
 // SetEvictionStormFn installs a callback invoked (outside shard locks)
@@ -101,22 +99,9 @@ func (c *BlockCache) SetEvictionStormFn(fn func(key string, evicted int)) {
 	}
 }
 
-// NewBlockCache creates a cache with the given shard count (rounded up
-// to at least 1) and per-shard byte capacity, evicting LRU (the klru
-// policy with expiry disabled).
+// NewBlockCache creates an LRU cache with the given shard count and
+// per-shard byte capacity (each rounded up to at least 1).
 func NewBlockCache(shards, bytesPerShard int) *BlockCache {
-	c, err := NewBlockCachePolicy(shards, bytesPerShard, "klru")
-	if err != nil {
-		panic(err) // unreachable: klru is registered
-	}
-	return c
-}
-
-// NewBlockCachePolicy creates a cache whose shards evict under the
-// named replacement policy (see policy.Names); the empty name selects
-// LRU. Each shard gets its own policy instance fed by a per-shard
-// operation clock.
-func NewBlockCachePolicy(shards, bytesPerShard int, polName string) (*BlockCache, error) {
 	if shards < 1 {
 		shards = 1
 	}
@@ -125,63 +110,38 @@ func NewBlockCachePolicy(shards, bytesPerShard int, polName string) (*BlockCache
 	}
 	c := &BlockCache{shards: make([]*cacheShard, shards)}
 	for i := range c.shards {
-		pol, err := policy.New[string](polName)
-		if err != nil {
-			return nil, err
-		}
-		// ExpireK 0: no k-edge expiry on an open key universe; the
-		// policy is pure replacement here.
-		pol.Bind(policy.Env{})
-		c.shards[i] = &cacheShard{
+		sh := &cacheShard{
 			capacity: bytesPerShard,
-			pol:      pol,
-			items:    make(map[string][]byte),
+			items:    make(map[string]*lruNode),
 			inflight: make(map[string]*flight),
 		}
-		c.polName = pol.Name()
+		sh.lru.prev, sh.lru.next = &sh.lru, &sh.lru
+		c.shards[i] = sh
 	}
-	return c, nil
+	return c
 }
-
-// Policy names the shards' replacement policy.
-func (c *BlockCache) Policy() string { return c.polName }
 
 // GetOrCompute returns the value for key, running compute on a miss.
 // Concurrent callers missing on the same key wait for a single compute
 // (singleflight); its result is handed to all of them. hit reports
 // whether this caller avoided running compute itself. Errors are not
-// cached: the next request retries. The value's own byte length stands
-// in as its re-production cost; cost-sensitive callers use
-// GetOrComputeCost.
-func (c *BlockCache) GetOrCompute(key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	return c.shard(key).getOrCompute(context.Background(), key, func() ([]byte, int64, error) {
-		v, err := compute()
-		return v, int64(len(v)), err
-	})
-}
-
-// GetOrComputeCost is GetOrCompute for computes that know what a miss
-// costs (e.g. the modeled compression cycles of the block): cost-aware
-// replacement policies keep expensive-to-rebuild payloads resident
-// longer. The lookup — and, on a miss, the compute — is timed as a
-// StageL1 span on ctx's trace (outcome hit/miss/coalesced); with no
-// trace attached the call costs exactly what it did untraced.
-func (c *BlockCache) GetOrComputeCost(ctx context.Context, key string, compute func() ([]byte, int64, error)) (val []byte, hit bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// cached: the next request retries. The lookup — and, on a miss, the
+// compute — is timed as a StageL1 span on ctx's trace (outcome
+// hit/miss/coalesced); with no trace attached the call costs exactly
+// what it did untraced.
+func (c *BlockCache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
 	return c.shard(key).getOrCompute(ctx, key, compute)
 }
 
-// Get returns the cached value for key, if resident. It does not count
-// toward hit/miss statistics.
+// Get returns the cached value for key, if resident, and marks it most
+// recently used. It does not count toward hit/miss statistics.
 func (c *BlockCache) Get(key string) ([]byte, bool) {
 	return c.shard(key).get(key)
 }
 
-// Contains reports whether key is resident without touching policy
-// recency or hit/miss accounting — a pure peek, used to plan readahead
-// without distorting replacement decisions.
+// Contains reports whether key is resident without touching recency or
+// hit/miss accounting — a pure peek, used to plan readahead without
+// distorting replacement decisions.
 func (c *BlockCache) Contains(key string) bool {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -191,20 +151,20 @@ func (c *BlockCache) Contains(key string) bool {
 }
 
 // Add inserts a value produced out of band — the serving tier's
-// readahead admission path. It charges neither hit nor miss, consults
-// the replacement policy's admission rule like any fill, and never
-// replaces an existing entry (the resident value is authoritative; a
-// concurrent demand fill for the same key may also race in first). It
-// reports whether the value was admitted. The cache shares val with
-// future readers: the caller must hand over ownership.
-func (c *BlockCache) Add(key string, val []byte, cost int64) bool {
+// readahead admission path. It charges neither hit nor miss, refuses
+// oversize values like any fill, and never replaces an existing entry
+// (the resident value is authoritative; a concurrent demand fill for
+// the same key may also race in first). It reports whether the value
+// was admitted. The cache shares val with future readers: the caller
+// must hand over ownership.
+func (c *BlockCache) Add(key string, val []byte) bool {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if _, ok := sh.items[key]; ok {
 		sh.mu.Unlock()
 		return false
 	}
-	admitted, evicted := sh.insert(key, val, cost)
+	admitted, evicted := sh.insert(key, val)
 	storm := sh.onStorm
 	sh.mu.Unlock()
 	if storm != nil && evicted >= stormThreshold {
@@ -251,40 +211,64 @@ type flight struct {
 	waiters int // requests parked on done; guarded by the shard lock
 }
 
-// cacheShard stores values and byte accounting; the bound policy owns
-// recency/frequency/cost bookkeeping and picks victims. All policy
-// calls happen under mu (policies are not concurrency-safe), fed by
-// the shard's operation clock.
+// lruNode is one resident entry, linked into its shard's recency list.
+type lruNode struct {
+	prev, next *lruNode
+	key        string
+	val        []byte
+}
+
+// cacheShard stores values, byte accounting and recency. lru is the
+// sentinel of a circular doubly linked list ordered most recently used
+// (lru.next) to least (lru.prev); evicted nodes go onto free, linked
+// through next, and back into the list on the next fill, so a full
+// shard's fill-evict cycle allocates nothing. All fields are guarded
+// by mu.
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
 	bytes    int
-	clock    int64
-	pol      policy.Policy[string]
-	items    map[string][]byte
+	items    map[string]*lruNode
+	lru      lruNode
+	free     *lruNode
 	inflight map[string]*flight
 	onStorm  func(key string, evicted int) // invoked outside the lock
 
 	hits, misses, coalesced, waitAborts, evictions int64
 }
 
-// tick advances the shard's logical clock; caller holds the lock.
-func (s *cacheShard) tick() int64 {
-	s.clock++
-	return s.clock
+// unlink takes n out of the recency list.
+func unlink(n *lruNode) {
+	n.prev.next = n.next
+	n.next.prev = n.prev
+}
+
+// pushFront links n in as the most recently used entry.
+func (s *cacheShard) pushFront(n *lruNode) {
+	n.prev, n.next = &s.lru, s.lru.next
+	s.lru.next.prev = n
+	s.lru.next = n
+}
+
+// touch marks n most recently used.
+func (s *cacheShard) touch(n *lruNode) {
+	if s.lru.next != n {
+		unlink(n)
+		s.pushFront(n)
+	}
 }
 
 func (s *cacheShard) get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if val, ok := s.items[key]; ok {
-		s.pol.OnAccess(key, s.tick())
-		return val, true
+	if n, ok := s.items[key]; ok {
+		s.touch(n)
+		return n.val, true
 	}
 	return nil, false
 }
 
-func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func() ([]byte, int64, error)) ([]byte, bool, error) {
+func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	// One StageL1 span covers the whole call: lookup on a hit, lookup +
 	// compute on a miss (the compute's own spans nest under it). tr is
 	// nil when tracing is off — Begin/End are then free no-ops. The
@@ -293,9 +277,10 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 	tr := obs.FromContext(ctx)
 	sp := tr.Begin(obs.StageL1)
 	s.mu.Lock()
-	if val, ok := s.items[key]; ok {
-		s.pol.OnAccess(key, s.tick())
+	if n, ok := s.items[key]; ok {
+		s.touch(n)
 		s.hits++
+		val := n.val
 		s.mu.Unlock()
 		sp.End(obs.OutcomeHit)
 		return val, true, nil
@@ -341,14 +326,13 @@ func (s *cacheShard) getOrCompute(ctx context.Context, key string, compute func(
 	s.misses++
 	s.mu.Unlock()
 
-	var cost int64
-	fl.val, cost, fl.err = safeCompute(compute)
+	fl.val, fl.err = safeCompute(compute)
 
 	var evicted int
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if fl.err == nil {
-		_, evicted = s.insert(key, fl.val, cost)
+		_, evicted = s.insert(key, fl.val)
 	}
 	storm := s.onStorm
 	s.mu.Unlock()
@@ -381,7 +365,7 @@ func (c *BlockCache) waiters(key string) int {
 // this, a panic would unwind past getOrCompute with the in-flight
 // entry still registered and its done channel never closed, wedging
 // the key (and every coalesced waiter) forever.
-func safeCompute(compute func() ([]byte, int64, error)) (val []byte, cost int64, err error) {
+func safeCompute(compute func() ([]byte, error)) (val []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("service: cache compute panic: %v", r)
@@ -390,60 +374,44 @@ func safeCompute(compute func() ([]byte, int64, error)) (val []byte, cost int64,
 	return compute()
 }
 
-// insert adds an entry and asks the policy for victims until the shard
-// fits its capacity, reporting whether the value was actually admitted
-// and how many residents it displaced (callers compare that against
-// stormThreshold outside the lock). Values larger than the whole shard
-// are not cached at all (admitting them would just flush everything
-// else), and the policy may veto admission outright. Caller holds the
-// lock.
-func (s *cacheShard) insert(key string, val []byte, cost int64) (admitted bool, evicted int) {
+// insert adds an entry as the most recently used and evicts from the
+// least recently used end until the shard fits its capacity, reporting
+// whether the value was actually admitted and how many residents it
+// displaced (callers compare that against stormThreshold outside the
+// lock). Values larger than the whole shard are not cached at all
+// (admitting them would just flush everything else), and a key that is
+// already resident — an insert that lost a race — only has its recency
+// refreshed. Caller holds the lock.
+func (s *cacheShard) insert(key string, val []byte) (admitted bool, evicted int) {
 	if len(val) > s.capacity {
 		return false, 0
 	}
-	if _, ok := s.items[key]; ok { // lost a race with another insert
-		s.pol.OnAccess(key, s.tick())
+	if n, ok := s.items[key]; ok {
+		s.touch(n)
 		return false, 0
 	}
-	meta := policy.Meta{Bytes: len(val), Cost: cost}
-	if !s.pol.Admit(key, meta) {
-		return false, 0
+	n := s.free
+	if n != nil {
+		s.free = n.next
+	} else {
+		n = new(lruNode)
 	}
-	now := s.tick()
-	s.items[key] = val
+	n.key, n.val = key, val
+	s.pushFront(n)
+	s.items[key] = n
 	s.bytes += len(val)
-	s.pol.OnInsert(key, meta, now)
-	// The brand-new entry is not evictable on its own insert: evicting
-	// what we just paid to compute would thrash under any policy.
+	// The new entry is at the front and fits on its own, so the loop
+	// stops before reaching it: what we just paid to compute is never
+	// its own victim.
 	for s.bytes > s.capacity {
-		victim, ok := s.pol.Victim(func(k string) bool { return k != key })
-		if !ok {
-			break
-		}
-		if !s.removeLocked(victim) {
-			// Phantom victim: the policy named a key the shard does not
-			// hold, so bytes cannot shrink. The policy has been told to
-			// forget it (OnRemove above); stop rather than spin on a
-			// policy that keeps hallucinating the same victim.
-			break
-		}
+		victim := s.lru.prev
+		unlink(victim)
+		delete(s.items, victim.key)
+		s.bytes -= len(victim.val)
+		*victim = lruNode{next: s.free}
+		s.free = victim
 		s.evictions++
 		evicted++
 	}
 	return true, evicted
-}
-
-// removeLocked drops one entry, reporting whether any bytes were
-// actually released. The policy is told to forget the key even when the
-// shard never held it — otherwise a policy tracking a phantom key would
-// nominate it as victim forever. Caller holds the lock.
-func (s *cacheShard) removeLocked(key string) bool {
-	val, ok := s.items[key]
-	s.pol.OnRemove(key)
-	if !ok {
-		return false
-	}
-	delete(s.items, key)
-	s.bytes -= len(val)
-	return true
 }

@@ -1,17 +1,18 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"apbcc/internal/cfg"
 	"apbcc/internal/policy"
 )
 
@@ -35,11 +36,11 @@ func TestCacheHitMiss(t *testing.T) {
 	calls := 0
 	compute := func() ([]byte, error) { calls++; return []byte("payload"), nil }
 
-	v, hit, err := c.GetOrCompute("k", compute)
+	v, hit, err := c.GetOrCompute(context.Background(), "k", compute)
 	if err != nil || hit || string(v) != "payload" {
 		t.Fatalf("first get: v=%q hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.GetOrCompute("k", compute)
+	v, hit, err = c.GetOrCompute(context.Background(), "k", compute)
 	if err != nil || !hit || string(v) != "payload" {
 		t.Fatalf("second get: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -68,12 +69,12 @@ func TestCacheAddressesMatchAndAmortize(t *testing.T) {
 
 func TestCachePanickingComputeDoesNotWedgeKey(t *testing.T) {
 	c := NewBlockCache(1, 1<<20)
-	_, _, err := c.GetOrCompute("k", func() ([]byte, error) { panic("kaboom") })
+	_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want compute panic error", err)
 	}
 	// The key must be usable again, not stuck on a dead flight.
-	v, _, err := c.GetOrCompute("k", func() ([]byte, error) { return []byte("ok"), nil })
+	v, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || string(v) != "ok" {
 		t.Fatalf("retry after panic: v=%q err=%v", v, err)
 	}
@@ -83,11 +84,11 @@ func TestCacheErrorNotCached(t *testing.T) {
 	c := NewBlockCache(1, 1<<20)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := c.GetOrCompute("k", func() ([]byte, error) { calls++; return nil, boom })
+	_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	_, hit, err := c.GetOrCompute("k", func() ([]byte, error) { calls++; return []byte("ok"), nil })
+	_, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { calls++; return []byte("ok"), nil })
 	if err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)
 	}
@@ -100,12 +101,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	// One shard, capacity for two 4-byte values.
 	c := NewBlockCache(1, 8)
 	put := func(k string) {
-		c.GetOrCompute(k, func() ([]byte, error) { return []byte("1234"), nil })
+		c.GetOrCompute(context.Background(), k, func() ([]byte, error) { return []byte("1234"), nil })
 	}
 	put("a")
 	put("b")
-	c.GetOrCompute("a", nil) // touch a so b is the LRU victim
-	put("c")                 // evicts b
+	c.GetOrCompute(context.Background(), "a", nil) // touch a so b is the LRU victim
+	put("c")                                       // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived eviction")
 	}
@@ -121,7 +122,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheOversizeValueNotAdmitted(t *testing.T) {
 	c := NewBlockCache(1, 4)
-	v, _, err := c.GetOrCompute("big", func() ([]byte, error) { return make([]byte, 100), nil })
+	v, _, err := c.GetOrCompute(context.Background(), "big", func() ([]byte, error) { return make([]byte, 100), nil })
 	if err != nil || len(v) != 100 {
 		t.Fatalf("v=%d bytes err=%v", len(v), err)
 	}
@@ -141,7 +142,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := c.GetOrCompute("k", func() ([]byte, error) {
+			v, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
 				computes.Add(1)
 				<-release
 				return []byte("v"), nil
@@ -172,7 +173,7 @@ func TestCacheShardSpread(t *testing.T) {
 	c := NewBlockCache(8, 1<<20)
 	for i := 0; i < 256; i++ {
 		k := BlockAddress("codec", nil, []byte{byte(i)})
-		c.GetOrCompute(k, func() ([]byte, error) { return []byte{byte(i)}, nil })
+		c.GetOrCompute(context.Background(), k, func() ([]byte, error) { return []byte{byte(i)}, nil })
 	}
 	used := 0
 	for _, sh := range c.shards {
@@ -196,7 +197,7 @@ func TestCacheConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", i%50)
-				v, _, err := c.GetOrCompute(k, func() ([]byte, error) {
+				v, _, err := c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
 					return []byte(k), nil
 				})
 				if err != nil || string(v) != k {
@@ -225,7 +226,7 @@ func TestCacheCoalescedErrorIsNotAHit(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, hit, err := c.GetOrCompute("k", func() ([]byte, error) {
+		_, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
 			return nil, boom
@@ -243,7 +244,7 @@ func TestCacheCoalescedErrorIsNotAHit(t *testing.T) {
 			// flight coalesces onto it; one that slips in after the
 			// failure runs this compute itself. Both paths must report
 			// hit=false and the error.
-			_, hit, err := c.GetOrCompute("k", func() ([]byte, error) { return nil, boom })
+			_, hit, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) { return nil, boom })
 			if hit {
 				t.Error("request reported hit=true for a failed compute")
 			}
@@ -267,112 +268,6 @@ func TestCacheCoalescedErrorIsNotAHit(t *testing.T) {
 	}
 }
 
-// TestCacheCostAwarePolicy checks the policy seam end to end: under
-// the cost-aware policy a cheap-to-recompute payload is evicted before
-// an equally-sized expensive one, regardless of recency.
-func TestCacheCostAwarePolicy(t *testing.T) {
-	c, err := NewBlockCachePolicy(1, 8, "cost-aware")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Policy() != "cost-aware" {
-		t.Fatalf("policy = %q", c.Policy())
-	}
-	add := func(key string, cost int64) {
-		t.Helper()
-		if _, _, err := c.GetOrComputeCost(context.Background(), key, func() ([]byte, int64, error) {
-			return []byte("1234"), cost, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("cheap", 10)
-	add("gold", 10000)
-	// Touch cheap last: plain LRU would now evict gold.
-	if _, ok := c.Get("cheap"); !ok {
-		t.Fatal("cheap missing before overflow")
-	}
-	add("new", 500) // 12 bytes > 8: eviction required
-	if _, ok := c.Get("gold"); !ok {
-		t.Error("expensive entry was evicted despite cost-aware policy")
-	}
-	if _, ok := c.Get("cheap"); ok {
-		t.Error("cheap entry survived; expected it to be the victim")
-	}
-	if got := c.Stats().Evictions; got == 0 {
-		t.Error("no evictions recorded")
-	}
-}
-
-// phantomPolicy is a hostile stub: Victim perpetually nominates a key
-// the shard has never held. Pre-fix, the eviction loop spun forever on
-// it (removeLocked no-op'd without telling the policy, bytes never
-// shrank, the same victim came back).
-type phantomPolicy struct {
-	removed []string
-}
-
-func (p *phantomPolicy) Name() string                              { return "phantom" }
-func (p *phantomPolicy) Bind(policy.Env)                           {}
-func (p *phantomPolicy) Admit(string, policy.Meta) bool            { return true }
-func (p *phantomPolicy) OnInsert(string, policy.Meta, int64)       {}
-func (p *phantomPolicy) OnAccess(string, int64)                    {}
-func (p *phantomPolicy) OnRemove(k string)                         { p.removed = append(p.removed, k) }
-func (p *phantomPolicy) Tick(string, int64) []string               { return nil }
-func (p *phantomPolicy) Victim(func(string) bool) (string, bool)   { return "phantom", true }
-func (p *phantomPolicy) OldestUse(func(string) bool) (int64, bool) { return 0, false }
-func (p *phantomPolicy) PrefetchCandidates(cfg.BlockID, func(cfg.BlockID) bool) []cfg.BlockID {
-	return nil
-}
-func (p *phantomPolicy) ObserveEdge(cfg.BlockID, cfg.BlockID) {}
-
-// TestCacheEvictionPhantomVictimTerminates is the regression test for
-// the infinite eviction loop: a policy returning a victim absent from
-// the shard must be told to forget it (OnRemove) and the loop must
-// stop, not spin.
-func TestCacheEvictionPhantomVictimTerminates(t *testing.T) {
-	c := NewBlockCache(1, 8)
-	stub := &phantomPolicy{}
-	c.shards[0].pol = stub
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Overflow the 8-byte shard: the eviction loop runs and must
-		// terminate despite the policy never naming a real victim.
-		c.GetOrCompute("a", func() ([]byte, error) { return []byte("123456"), nil })
-		c.GetOrCompute("b", func() ([]byte, error) { return []byte("123456"), nil })
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("eviction loop hung on a phantom victim")
-	}
-	found := false
-	for _, k := range stub.removed {
-		if k == "phantom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("policy was never told to forget the phantom victim")
-	}
-	// Both real entries must still be resident: nothing legitimate was
-	// evicted on the phantom's behalf.
-	for _, k := range []string{"a", "b"} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("%q evicted while evicting a phantom", k)
-		}
-	}
-}
-
-// TestCacheUnknownPolicyRejected pins the constructor's validation.
-func TestCacheUnknownPolicyRejected(t *testing.T) {
-	if _, err := NewBlockCachePolicy(1, 8, "belady"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-}
-
 // TestCacheEvictionIsInsertionLRU is the regression test for the
 // policy-backed shard matching the list-LRU it replaced: entries that
 // were inserted but never re-accessed must be evicted oldest-insertion
@@ -381,7 +276,7 @@ func TestCacheEvictionIsInsertionLRU(t *testing.T) {
 	c := NewBlockCache(1, 8) // two 4-byte values fit
 	add := func(key string) {
 		t.Helper()
-		if _, _, err := c.GetOrCompute(key, func() ([]byte, error) {
+		if _, _, err := c.GetOrCompute(context.Background(), key, func() ([]byte, error) {
 			return []byte("1234"), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -412,19 +307,19 @@ func TestCacheCancelledWaiterNotAMiss(t *testing.T) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrComputeCost(context.Background(), "k", func() ([]byte, int64, error) {
+		_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
 			close(entered)
 			<-release
-			return []byte("v"), 1, nil
+			return []byte("v"), nil
 		})
 		leaderDone <- err
 	}()
 	<-entered
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.GetOrComputeCost(ctx, "k", func() ([]byte, int64, error) {
+	if _, _, err := c.GetOrCompute(ctx, "k", func() ([]byte, error) {
 		t.Error("cancelled waiter ran the compute")
-		return nil, 0, nil
+		return nil, nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
 	}
@@ -444,5 +339,165 @@ func TestCacheCancelledWaiterNotAMiss(t *testing.T) {
 	}
 	if got := s.HitRate(); got != 0 {
 		t.Fatalf("hit rate = %v, want 0 (one miss, no hits; abort excluded)", got)
+	}
+}
+
+// refShard is the shard the LRU list replaced: a value map plus
+// policy.PaperKLRU with expiry disabled, fed by a per-shard clock and
+// driven by the old insert/victim loop. Sequential use only.
+type refShard struct {
+	capacity, bytes         int
+	clock                   int64
+	pol                     policy.Policy[string]
+	items                   map[string][]byte
+	hits, misses, evictions int64
+}
+
+func newRefShard(capacity int) *refShard {
+	pol := policy.NewPaperKLRU[string]()
+	pol.Bind(policy.Env{}) // ExpireK 0: pure replacement
+	return &refShard{capacity: capacity, pol: pol, items: make(map[string][]byte)}
+}
+
+func (r *refShard) tick() int64 {
+	r.clock++
+	return r.clock
+}
+
+func (r *refShard) get(key string) ([]byte, bool) {
+	val, ok := r.items[key]
+	if ok {
+		r.pol.OnAccess(key, r.tick())
+	}
+	return val, ok
+}
+
+func (r *refShard) getOrCompute(key string, compute func() ([]byte, error)) (hit bool) {
+	if _, ok := r.get(key); ok {
+		r.hits++
+		return true
+	}
+	r.misses++
+	if val, err := compute(); err == nil {
+		r.insert(key, val)
+	}
+	return false
+}
+
+func (r *refShard) add(key string, val []byte) bool {
+	if _, ok := r.items[key]; ok {
+		return false
+	}
+	return r.insert(key, val)
+}
+
+func (r *refShard) insert(key string, val []byte) bool {
+	if len(val) > r.capacity {
+		return false
+	}
+	if _, ok := r.items[key]; ok {
+		r.pol.OnAccess(key, r.tick())
+		return false
+	}
+	meta := policy.Meta{Bytes: len(val), Cost: int64(len(val))}
+	if !r.pol.Admit(key, meta) {
+		return false
+	}
+	now := r.tick()
+	r.items[key] = val
+	r.bytes += len(val)
+	r.pol.OnInsert(key, meta, now)
+	for r.bytes > r.capacity {
+		victim, ok := r.pol.Victim(func(k string) bool { return k != key })
+		if !ok {
+			break
+		}
+		r.pol.OnRemove(victim)
+		r.bytes -= len(r.items[victim])
+		delete(r.items, victim)
+		r.evictions++
+	}
+	return true
+}
+
+// TestCacheMatchesPolicyLRU drives the LRU list and the reference
+// policy-table shard it replaced through the same seeded sequences of
+// demand fills (some failing, some losing a race to an admission of
+// the same key), readahead admissions and reads, with
+// value sizes from one byte to past the shard's capacity. After every
+// operation both must report the same outcome and hold the same
+// resident set, bytes and hit, miss and eviction counts.
+func TestCacheMatchesPolicyLRU(t *testing.T) {
+	sizes := []int{1, 3, 8, 16, 17, 40, 100, 300, 1100}
+	boom := errors.New("boom")
+	for _, capacity := range []int{8, 64, 200, 1024} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("cap%d/seed%d", capacity, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				c := NewBlockCache(1, capacity)
+				sh := c.shards[0]
+				ref := newRefShard(capacity)
+				for op := 0; op < 3000; op++ {
+					key := fmt.Sprintf("k%02d", rng.Intn(32))
+					val := bytes.Repeat([]byte{byte(op)}, sizes[rng.Intn(len(sizes))])
+					var what string
+					switch r := rng.Intn(10); {
+					case r < 5:
+						// Some computes fail; in others a readahead
+						// admission of the same key races in first,
+						// followed by a read of another key.
+						fail, race := rng.Intn(20) == 0, rng.Intn(10) == 0
+						raced, other := val[:len(val)/2+1], fmt.Sprintf("k%02d", rng.Intn(32))
+						compute := func(add func(string, []byte) bool, get func(string) ([]byte, bool)) func() ([]byte, error) {
+							return func() ([]byte, error) {
+								if race {
+									add(key, raced)
+									get(other)
+								}
+								if fail {
+									return nil, boom
+								}
+								return val, nil
+							}
+						}
+						what = fmt.Sprintf("GetOrCompute %s (fail %v, race %v)", key, fail, race)
+						_, hit, _ := c.GetOrCompute(context.Background(), key, compute(c.Add, c.Get))
+						if want := ref.getOrCompute(key, compute(ref.add, ref.get)); hit != want {
+							t.Fatalf("op %d %s: hit = %v, reference %v", op, what, hit, want)
+						}
+					case r < 7:
+						what = "Add " + key
+						if got, want := c.Add(key, val), ref.add(key, val); got != want {
+							t.Fatalf("op %d %s: admitted = %v, reference %v", op, what, got, want)
+						}
+					default:
+						what = "Get " + key
+						got, ok := c.Get(key)
+						want, wantOK := ref.get(key)
+						if ok != wantOK || !bytes.Equal(got, want) {
+							t.Fatalf("op %d %s: (%d bytes, %v), reference (%d bytes, %v)",
+								op, what, len(got), ok, len(want), wantOK)
+						}
+					}
+					var resident, refResident []string
+					for k := range sh.items {
+						resident = append(resident, k)
+					}
+					for k := range ref.items {
+						refResident = append(refResident, k)
+					}
+					slices.Sort(resident)
+					slices.Sort(refResident)
+					if !slices.Equal(resident, refResident) {
+						t.Fatalf("op %d %s: resident %v, reference %v", op, what, resident, refResident)
+					}
+					st := c.Stats()
+					if st.Bytes != int64(ref.bytes) || st.Hits != ref.hits || st.Misses != ref.misses || st.Evictions != ref.evictions {
+						t.Fatalf("op %d %s: stats %+v, reference bytes=%d hits=%d misses=%d evictions=%d",
+							op, what, st, ref.bytes, ref.hits, ref.misses, ref.evictions)
+					}
+				}
+			})
+		}
 	}
 }

@@ -13,12 +13,11 @@
 //     SHA-256 over codec name, serialized codec model and the plain
 //     block image, so identical blocks compressed under identical
 //     models are served from cache regardless of which workload or
-//     request produced them. Each shard carries its own lock, its own
-//     instance of a pluggable replacement policy (internal/policy;
-//     LRU by default, cost-aware and LFU selectable via Config.Policy)
-//     and an in-flight table providing singleflight-style duplicate
-//     suppression: concurrent misses on one key run the compressor
-//     once.
+//     request produced them. Each shard carries its own lock, an
+//     intrusive LRU list under its byte budget (a hit, a fill and
+//     each eviction are O(1)) and an in-flight table providing
+//     singleflight-style duplicate suppression: concurrent misses on
+//     one key run the compressor once.
 //
 //   - a bounded worker pool with request batching (pool.go). Pack and
 //     compress jobs are queued; a worker that wakes for one job drains

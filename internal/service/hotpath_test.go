@@ -34,12 +34,14 @@ func (w *nopWriter) reset() {
 	w.body = w.body[:0]
 }
 
-// hotPathServer returns an untraced server with an attached store
-// object for fft/dict, its built entry, and a cancelable context that
-// stands in for net/http's per-connection request context.
-func hotPathServer(t testing.TB) (*Server, *entry, context.Context) {
+// hotPathServer returns an untraced server (cfg plus a store directory)
+// with an attached store object for fft/dict, its built entry, and a
+// cancelable context that stands in for net/http's per-connection
+// request context.
+func hotPathServer(t testing.TB, cfg Config) (*Server, *entry, context.Context) {
 	t.Helper()
-	s, err := New(Config{Workers: 2, StoreDir: t.TempDir(), TraceRing: -1})
+	cfg.Workers, cfg.StoreDir, cfg.TraceRing = 2, t.TempDir(), -1
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,12 +71,15 @@ func serve(s *Server, w *nopWriter, r *http.Request) {
 // pays ServeMux's wildcard match (the request's pattern and match
 // slices, 2 allocations); a word read pays the same 2 plus its span
 // CRC header, computed per request (the hex string and its one-element
-// value slice).
+// value slice). An L2-miss block pays the same 2, the in-flight record
+// and its channel, and the exact-size copies L1 keeps of the demand
+// payload and each admitted readahead candidate; the fill and its
+// evictions allocate nothing.
 func TestServeHTTPAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops pooled items at random")
 	}
-	s, ent, ctx := hotPathServer(t)
+	s, ent, ctx := hotPathServer(t, Config{})
 	w := &nopWriter{h: http.Header{}}
 
 	block := httptest.NewRequest("GET", "/v1/block/fft/2?codec=dict", nil).WithContext(ctx)
@@ -98,6 +103,49 @@ func TestServeHTTPAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { serve(s, w, word) }); got > 4 {
 		t.Errorf("store word read: %v allocs/op, budget 4", got)
 	}
+
+	// An L1 small enough that every request misses: a cycle over
+	// blocks that are nobody's readahead candidate and whose payloads
+	// exceed the cache together, so each request runs the demand L2
+	// read, verifies and admits its readahead candidates, and evicts to
+	// make room.
+	tiny, tent, tctx := hotPathServer(t, Config{CacheShards: 1, CacheBytes: 256})
+	demanded, predicted := make(map[int]bool), make(map[int]bool)
+	var reqs []*http.Request
+	for id := range tent.plain {
+		ok := !predicted[id]
+		for _, c := range tent.readahead[id] {
+			ok = ok && !demanded[int(c)]
+		}
+		if !ok {
+			continue
+		}
+		demanded[id] = true
+		for _, c := range tent.readahead[id] {
+			predicted[int(c)] = true
+		}
+		reqs = append(reqs, httptest.NewRequest("GET", fmt.Sprintf("/v1/block/fft/%d?codec=dict", id), nil).WithContext(tctx))
+	}
+	next := 0
+	miss := func() {
+		serve(tiny, w, reqs[next])
+		next = (next + 1) % len(reqs)
+	}
+	for range reqs {
+		miss()
+	}
+	before, ra := tiny.cache.Stats(), tiny.metrics.StoreReadahead.Load()
+	got := testing.AllocsPerRun(500, miss)
+	after := tiny.cache.Stats()
+	t.Logf("L2-miss block: %v allocs/op over %d requests to %d blocks: %d misses, %d evictions, %d readahead admissions",
+		got, 501, len(reqs), after.Misses-before.Misses, after.Evictions-before.Evictions, tiny.metrics.StoreReadahead.Load()-ra)
+	if after.Misses-before.Misses != 501 || tiny.metrics.StoreReadahead.Load() == ra {
+		t.Fatalf("tiny L1: %d misses in 501 requests, %d readahead admissions; want every request an L2 miss with readahead",
+			after.Misses-before.Misses, tiny.metrics.StoreReadahead.Load()-ra)
+	}
+	if got > 6 {
+		t.Errorf("L2-miss block: %v allocs/op, budget 6", got)
+	}
 }
 
 // TestSharedHeaderValuesStayPerResponse: the block path assigns
@@ -106,7 +154,7 @@ func TestServeHTTPAllocBudget(t *testing.T) {
 // word count, and a caller appending to one response's header values
 // must not change what a later response carries.
 func TestSharedHeaderValuesStayPerResponse(t *testing.T) {
-	s, ent, ctx := hotPathServer(t)
+	s, ent, ctx := hotPathServer(t, Config{})
 	w := &nopWriter{h: http.Header{}}
 	want := func(id int) (crc, words string) {
 		return fmt.Sprintf("%08x", crc32.ChecksumIEEE(ent.plain[id])), fmt.Sprint(len(ent.plain[id]) / isa.WordSize)
@@ -187,7 +235,7 @@ func FuzzBlockQuery(f *testing.F) {
 // off, store attached. block is an L1 hit and word a store word read;
 // their allocs/op are what TestServeHTTPAllocBudget pins.
 func BenchmarkServeHTTP(b *testing.B) {
-	s, _, ctx := hotPathServer(b)
+	s, _, ctx := hotPathServer(b, Config{})
 	for _, bc := range []struct{ name, url string }{
 		{"block", "/v1/block/fft/2?codec=dict"},
 		{"word", "/v1/block/fft/2?codec=dict&word=1&words=2"},

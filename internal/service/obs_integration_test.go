@@ -337,18 +337,18 @@ func TestMetricsLookupAllocFree(t *testing.T) {
 }
 
 // TestCacheHitPathAllocFree pins the untraced L1 hit: context plumbing
-// through GetOrComputeCost must not add allocations when no trace is
+// through GetOrCompute must not add allocations when no trace is
 // attached.
 func TestCacheHitPathAllocFree(t *testing.T) {
 	c := NewBlockCache(1, 1<<20)
 	ctx := context.Background()
-	if _, _, err := c.GetOrComputeCost(ctx, "k", func() ([]byte, int64, error) {
-		return []byte("v"), 1, nil
+	if _, _, err := c.GetOrCompute(ctx, "k", func() ([]byte, error) {
+		return []byte("v"), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		_, hit, _ := c.GetOrComputeCost(ctx, "k", nil)
+		_, hit, _ := c.GetOrCompute(ctx, "k", nil)
 		if !hit {
 			t.Fatal("unexpected miss")
 		}
@@ -373,11 +373,11 @@ func TestEvictionStormCallback(t *testing.T) {
 		mu.Unlock()
 	})
 	for i := 0; i < 16; i++ {
-		if !c.Add(fmt.Sprintf("k%02d", i), []byte("abcd"), 1) {
+		if !c.Add(fmt.Sprintf("k%02d", i), []byte("abcd")) {
 			t.Fatalf("seed entry %d not admitted", i)
 		}
 	}
-	if !c.Add("big", make([]byte, 60), 1) {
+	if !c.Add("big", make([]byte, 60)) {
 		t.Fatal("storm entry not admitted")
 	}
 	mu.Lock()

@@ -3,7 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"apbcc/internal/cfg"
@@ -156,6 +161,111 @@ func TestReadaheadServesCorrectBytes(t *testing.T) {
 	}
 }
 
+// logRecorder is a slog.Handler that keeps every record it is given.
+type logRecorder struct {
+	mu   sync.Mutex
+	recs []slog.Record
+}
+
+func (h *logRecorder) Enabled(context.Context, slog.Level) bool { return true }
+func (h *logRecorder) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *logRecorder) WithGroup(string) slog.Handler            { return h }
+func (h *logRecorder) Handle(_ context.Context, r slog.Record) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.recs = append(h.recs, r.Clone())
+	return nil
+}
+
+// attrs returns the attributes of every record logged with msg.
+func (h *logRecorder) attrs(msg string) []map[string]slog.Value {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []map[string]slog.Value
+	for _, r := range h.recs {
+		if r.Message != msg {
+			continue
+		}
+		m := make(map[string]slog.Value)
+		r.Attrs(func(a slog.Attr) bool {
+			m[a.Key] = a.Value
+			return true
+		})
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestReadaheadCorruptCandidateQuarantineNamesIt: when a readahead
+// candidate's payload fails verification, the demand block is still
+// served intact, the object is quarantined, and the quarantine warning
+// names the candidate block — the one whose bytes were bad — not the
+// demanded one.
+func TestReadaheadCorruptCandidateQuarantineNamesIt(t *testing.T) {
+	logs := &logRecorder{}
+	dir := t.TempDir()
+	s, ent := warmEntryWithStore(t, Config{Workers: 2, StoreDir: dir, ReadaheadK: 2, Log: slog.New(logs)})
+	obj := ent.obj.Load()
+	idx := obj.Index()
+	id, ci := -1, -1
+	for i, cands := range ent.readahead {
+		for _, c := range cands {
+			if c := int(c); c > i && c-i <= readaheadWindowBlocks && idx.Blocks[c].Len > 0 &&
+				idx.Blocks[c].Off+idx.Blocks[c].Len-idx.Blocks[i].Off <= readaheadMaxBytes {
+				id, ci = i, c
+				break
+			}
+		}
+		if id >= 0 {
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("no block has a forward readahead candidate")
+	}
+
+	// Flip one byte inside the candidate's payload, in place: the live
+	// object reads through its open descriptor.
+	f, err := os.OpenFile(filepath.Join(dir, "objects", obj.Key()[:2], obj.Key()), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := idx.PayloadBase + idx.Blocks[ci].Off + idx.Blocks[ci].Len/2
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xff
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/block/fft/%d?codec=dict", id), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("demand block %d: status %d", id, rec.Code)
+	}
+	if _, err := verifyBlock(ent.codec, rec.Body.Bytes(), rec.Header(), ent.plain[id], nil); err != nil {
+		t.Fatalf("demand block %d: %v", id, err)
+	}
+	if st := s.Store().Stats(); st.Quarantined != 1 {
+		t.Fatalf("quarantined = %d, want 1", st.Quarantined)
+	}
+	warns := logs.attrs("store object quarantined, detaching from entry")
+	if len(warns) != 1 {
+		t.Fatalf("%d quarantine warnings, want 1", len(warns))
+	}
+	if got := warns[0]["block"].Int64(); got != int64(ci) {
+		t.Errorf("quarantine warning names block %d, want the corrupt candidate %d (demand block %d)", got, ci, id)
+	}
+	if got := warns[0]["what"].String(); got != "readahead block verify" {
+		t.Errorf("quarantine warning what = %q, want the readahead verify", got)
+	}
+}
+
 // TestReadaheadCandidates pins the candidate precompute against the
 // policy beam on a hand-built CFG: the hot successor ranks first and
 // improbable edges are dropped.
@@ -194,13 +304,13 @@ func TestCacheAddAndContains(t *testing.T) {
 	if c.Contains(key) {
 		t.Fatal("empty cache claims residency")
 	}
-	if !c.Add(key, []byte("payload"), 10) {
+	if !c.Add(key, []byte("payload")) {
 		t.Fatal("first Add rejected")
 	}
 	if !c.Contains(key) {
 		t.Fatal("added key not resident")
 	}
-	if c.Add(key, []byte("other"), 10) {
+	if c.Add(key, []byte("other")) {
 		t.Fatal("second Add replaced a resident entry")
 	}
 	if v, ok := c.Get(key); !ok || string(v) != "payload" {
@@ -212,7 +322,7 @@ func TestCacheAddAndContains(t *testing.T) {
 	}
 	// Oversized values are refused like any fill.
 	big := make([]byte, 2<<10)
-	if c.Add(BlockAddress("dict", nil, []byte("big")), big, 1) {
+	if c.Add(BlockAddress("dict", nil, []byte("big")), big) {
 		t.Fatal("oversized Add admitted")
 	}
 }

@@ -124,11 +124,6 @@ type Config struct {
 	QueueDepth int
 	// MaxBatch is the pool's per-wakeup batch limit (default 8).
 	MaxBatch int
-	// Policy names the block-cache replacement policy (policy.Names);
-	// empty selects "klru", which with expiry disabled is plain LRU.
-	// "cost-aware" keeps blocks that are expensive to recompress
-	// resident longer (GreedyDual-Size over the codec cost model).
-	Policy string
 	// StoreDir, when non-empty, roots the content-addressed disk store:
 	// built containers are persisted there asynchronously, block misses
 	// try an index read from disk before rebuilding, and a restart
@@ -345,15 +340,10 @@ type entry struct {
 func (e *entry) crcHdr(id int) []string { return e.crcHdrs[id : id+1 : id+1] }
 
 // New builds a Server. Call Close when done to stop the worker pool.
-// An unknown Config.Policy falls back to the LRU default (use
-// policy.Names to validate user input first). The only error source is
-// opening Config.StoreDir.
+// The only error source is opening Config.StoreDir.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	cache, err := NewBlockCachePolicy(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards, cfg.Policy)
-	if err != nil {
-		cache = NewBlockCache(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards)
-	}
+	cache := NewBlockCache(cfg.CacheShards, cfg.CacheBytes/cfg.CacheShards)
 	s := &Server{
 		cache:      cache,
 		pool:       NewPool(cfg.Workers, cfg.QueueDepth, cfg.MaxBatch),
@@ -714,21 +704,18 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	plain := ent.plain[id]
-	// The modeled compression cost is what a miss on this key costs
-	// the server; cost-aware replacement weighs it against the bytes.
-	missCost := ent.codec.Cost().CompressCycles(len(plain))
-	compute := func() ([]byte, int64, error) {
+	compute := func() ([]byte, error) {
 		// This compute runs synchronously on the request goroutine (the
 		// singleflight leader), so it may use ctx's trace; the pool fn
 		// below runs on a worker and must not.
 		if err := faultCacheCompute.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		// L2 first: one ReadAt through the container index plus a
 		// decompress-verify is far cheaper than re-running the
 		// compressor on the plain image.
 		if comp, ok := s.blockFromStore(ctx, ent, id); ok {
-			return comp, missCost, nil
+			return comp, nil
 		}
 		// Full rebuild. Detach from the request context: coalesced
 		// waiters depend on this compute, so the leader disconnecting
@@ -755,7 +742,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		} else {
 			rbsp.End(obs.OutcomeOK)
 		}
-		return comp, missCost, err
+		return comp, err
 	}
 	// Root spans tile the trace, so the hand-off to the cache is charged
 	// to l1, and the write span opens as soon as the cache returns, its
@@ -763,7 +750,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	// then track the trace's end-to-end total (asserted within 10% by
 	// the e2e test).
 	rsp.End(obs.OutcomeOK)
-	payload, hit, err := s.cache.GetOrComputeCost(ctx, ent.keys[id], compute)
+	payload, hit, err := s.cache.GetOrCompute(ctx, ent.keys[id], compute)
 	wsp := tr.Begin(obs.StageWrite)
 	if err == nil {
 		// The deadline may have fired while the payload was being
@@ -1107,7 +1094,7 @@ func (s *Server) l2Attempt(ctx context.Context, tr *obs.Trace, ent *entry, obj *
 			if errclass.IsCorrupt(err) {
 				// Speculative bytes failed verification: the object is as
 				// corrupt as if the demand read had failed.
-				s.detachObject(tr, ent, obj, id, "readahead block verify", err)
+				s.detachObject(tr, ent, obj, ci, "readahead block verify", err)
 				rasp.End(obs.OutcomeCorrupt)
 			} else {
 				// Transient (or fatal) readahead trouble: stop speculating,
@@ -1116,8 +1103,7 @@ func (s *Server) l2Attempt(ctx context.Context, tr *obs.Trace, ent *entry, obj *
 			}
 			return out, nil // the demand block itself was served
 		}
-		cost := ent.codec.Cost().CompressCycles(len(ent.plain[ci]))
-		if s.cache.Add(ent.keys[ci], bytes.Clone(ccomp), cost) {
+		if s.cache.Add(ent.keys[ci], bytes.Clone(ccomp)) {
 			s.metrics.StoreReadahead.Add(1)
 		}
 	}
